@@ -23,12 +23,18 @@ def _dump(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _table(args):
+def _level(args) -> int | None:
+    """The --p level, or None for --modular; an argument error when neither is given."""
     if args.modular:
-        return dynamics.modular_table()
+        return None
     if args.p is None:
         raise SystemExit2("one of --p or --modular is required")
-    return dynamics.branch_table(args.p)
+    return args.p
+
+
+def _table(args):
+    p = _level(args)
+    return dynamics.modular_table() if p is None else dynamics.branch_table(p)
 
 
 class SystemExit2(SystemExit):
@@ -43,7 +49,8 @@ def _add_group_args(sp, need_group=True):
 
 
 def cmd_domain(args) -> int:
-    dom = tessellation.modular_domain() if args.modular else tessellation.build_domain(args.p)
+    p = _level(args)
+    dom = tessellation.modular_domain() if p is None else tessellation.build_domain(p)
     if args.svg:
         text = svg.render_domain_svg(dom, show=args.show)
         with open(args.svg, "w") as fh:

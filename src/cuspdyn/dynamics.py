@@ -115,10 +115,14 @@ class BranchRecord:
     target_dir: int
     rep_line: Fraction
     rep_dir: int
+    h_inv: GroupElement = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "h_inv", self.h.inv())
 
     def apply(self, x: BoundaryValue) -> BoundaryValue:
         """F on this branch: the inverse element applied to x."""
-        return self.h.inv().apply_boundary(x)
+        return self.h_inv.apply_boundary(x)
 
     def to_json(self) -> dict:
         from .tessellation import matrix_literal
@@ -335,20 +339,22 @@ def cusp_witness(p: int | None, r: Fraction) -> tuple[str, GroupElement]:
 
 
 def _bezout(u: int, v: int) -> tuple[int, int]:
-    """(x, y) with u*x + v*y = 1 for coprime u, v."""
-    g, x, y = _egcd(u, v)
-    if g == 1:
-        return x, y
-    if g == -1:
-        return -x, -y
+    """(x, y) with u*x + v*y = 1 for coprime u, v.
+
+    Extended Euclid as a loop: the continued fraction of u/v may be
+    thousands of terms long (consecutive Fibonacci numbers).
+    """
+    r0, r1, x0, x1, y0, y1 = u, v, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if r0 == 1:
+        return x0, y0
+    if r0 == -1:
+        return -x0, -y0
     raise ValueError(f"{u} and {v} are not coprime")
-
-
-def _egcd(u: int, v: int) -> tuple[int, int, int]:
-    if v == 0:
-        return u, 1, 0
-    g, x, y = _egcd(v, u % v)
-    return g, y, x - y * (u // v)
 
 
 def apply_F(table: BranchTable, x: BoundaryValue) -> tuple[BoundaryValue, float | int]:

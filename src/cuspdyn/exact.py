@@ -1,11 +1,20 @@
 """Exact arithmetic on boundary values of the hyperbolic plane.
 
-A boundary value is a point of R u {inf}: a rational, a real quadratic
-surd (a + b*sqrt(d))/c, the single compactification point inf, or a
-floating approximation with a tracked error bound.  Rationals and surds
-are kept in a canonical form so that equality is structural and the
-total order is decided by integer arithmetic alone, never by floating
-comparison.  The family is closed under integer Moebius maps of
+A boundary value is a point of R u {inf}: a rational n/m, a real
+quadratic surd (a + b*sqrt(d))/c, the single compactification point
+inf, or a floating approximation with a tracked error bound.  Rationals
+and surds are kept as canonical integer tuples, so that equality is
+structural, and all arithmetic and ordering is done on plain integers.
+
+The total order is decided by integer sign rules alone, never by
+floating comparison.  Within one field (or against a rational) the
+difference is (A + B*sqrt(d))/C with C > 0, whose sign is that of
+A + B*sqrt(d).  Across fields sqrt(d1) != sqrt(d2), the comparison of
+P + Q*sqrt(d1) with R*sqrt(d2) is decided by their signs when they
+differ, and otherwise by the sign of their squares' difference
+(P^2 + Q^2*d1 - R^2*d2) + 2PQ*sqrt(d1), times their common sign.  No
+case refines an interval, so no comparison of two exact finite values
+can fail.  The family is closed under integer Moebius maps of
 determinant one (within one quadratic field).
 """
 
@@ -32,7 +41,6 @@ __all__ = [
     "floor_exact",
     "parse_value",
     "emit_value",
-    "from_fraction",
 ]
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -83,42 +91,47 @@ class BoundaryValue:
 
 
 class Rational(BoundaryValue):
-    __slots__ = ("fr",)
+    """Canonical numerator/denominator: denominator > 0, gcd 1."""
+
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, num, den=1):
-        object.__setattr__(self, "fr", Fraction(num, den))
+        fr = Fraction(num, den)
+        _set_num(self, fr.numerator)
+        _set_den(self, fr.denominator)
 
     def __setattr__(self, *a):
         raise AttributeError("Rational is immutable")
 
     @property
-    def numerator(self) -> int:
-        return self.fr.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.fr.denominator
+    def fr(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
 
     def to_float(self) -> float:
-        return float(self.fr)
+        return self.numerator / self.denominator
 
     def __eq__(self, other):
         other = _coerce(other)
-        return isinstance(other, Rational) and self.fr == other.fr
+        return (
+            isinstance(other, Rational)
+            and self.numerator == other.numerator
+            and self.denominator == other.denominator
+        )
 
     def __hash__(self):
-        return hash(("bv-rat", self.fr))
+        return hash(("bv-rat", self.numerator, self.denominator))
 
     def __repr__(self):
-        return f"Rational({self.fr.numerator}/{self.fr.denominator})"
+        return f"Rational({self.numerator}/{self.denominator})"
 
     def __neg__(self):
-        return Rational(-self.fr)
+        return _coprime(-self.numerator, self.denominator)
 
     def __add__(self, other):
         other = _coerce(other)
         if isinstance(other, Rational):
-            return Rational(self.fr + other.fr)
+            n, m = other.numerator, other.denominator
+            return _rational(self.numerator * m + n * self.denominator, self.denominator * m)
         if isinstance(other, Surd):
             return other + self
         return NotImplemented
@@ -134,7 +147,7 @@ class Rational(BoundaryValue):
     def __mul__(self, other):
         other = _coerce(other)
         if isinstance(other, Rational):
-            return Rational(self.fr * other.fr)
+            return _rational(self.numerator * other.numerator, self.denominator * other.denominator)
         if isinstance(other, Surd):
             return other * self
         return NotImplemented
@@ -143,9 +156,7 @@ class Rational(BoundaryValue):
 
     def __truediv__(self, other):
         other = _coerce(other)
-        if isinstance(other, Rational):
-            return Rational(self.fr / other.fr)
-        if isinstance(other, Surd):
+        if isinstance(other, (Rational, Surd)):
             return self * other.reciprocal()
         return NotImplemented
 
@@ -153,7 +164,31 @@ class Rational(BoundaryValue):
         return _coerce(other) / self
 
     def reciprocal(self):
-        return Rational(1 / self.fr)
+        if self.numerator == 0:
+            raise ZeroDivisionError("reciprocal of rational zero")
+        if self.numerator < 0:
+            return _coprime(-self.denominator, -self.numerator)
+        return _coprime(self.denominator, self.numerator)
+
+
+_set_num = Rational.numerator.__set__
+_set_den = Rational.denominator.__set__
+
+
+def _coprime(n: int, m: int) -> Rational:
+    """Rational n/m from coprime n and m > 0, trusted as canonical."""
+    r = object.__new__(Rational)
+    _set_num(r, n)
+    _set_den(r, m)
+    return r
+
+
+def _rational(n: int, m: int) -> Rational:
+    """Canonical Rational n/m for integers n and m != 0."""
+    if m < 0:
+        n, m = -n, -m
+    g = math.gcd(n, m)
+    return _coprime(n // g, m // g)
 
 
 class Surd(BoundaryValue):
@@ -166,10 +201,10 @@ class Surd(BoundaryValue):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     def __setattr__(self, *a):
         raise AttributeError("Surd is immutable")
@@ -196,21 +231,17 @@ class Surd(BoundaryValue):
     def __neg__(self):
         return Surd(-self.a, -self.b, self.c, self.d)
 
-    def _parts(self) -> tuple[Fraction, Fraction]:
-        """Value as q + r*sqrt(d) with q, r rational."""
-        return Fraction(self.a, self.c), Fraction(self.b, self.c)
-
     def __add__(self, other):
         other = _coerce(other)
+        a, b, c, d = self.a, self.b, self.c, self.d
         if isinstance(other, Rational):
-            q, r = self._parts()
-            return _from_parts(q + other.fr, r, self.d)
+            n, m = other.numerator, other.denominator
+            return _surd(a * m + n * c, b * m, c * m, d)
         if isinstance(other, Surd):
-            if other.d != self.d:
-                raise FieldMixError(f"cannot add sqrt({self.d}) and sqrt({other.d}) values")
-            q1, r1 = self._parts()
-            q2, r2 = other._parts()
-            return _from_parts(q1 + q2, r1 + r2, self.d)
+            if other.d != d:
+                raise FieldMixError(f"cannot add sqrt({d}) and sqrt({other.d}) values")
+            c2 = other.c
+            return _surd(a * c2 + other.a * c, b * c2 + other.b * c, c * c2, d)
         return NotImplemented
 
     __radd__ = __add__
@@ -223,15 +254,15 @@ class Surd(BoundaryValue):
 
     def __mul__(self, other):
         other = _coerce(other)
+        a, b, c, d = self.a, self.b, self.c, self.d
         if isinstance(other, Rational):
-            q, r = self._parts()
-            return _from_parts(q * other.fr, r * other.fr, self.d)
+            n = other.numerator
+            return _surd(a * n, b * n, c * other.denominator, d)
         if isinstance(other, Surd):
-            if other.d != self.d:
-                raise FieldMixError(f"cannot multiply sqrt({self.d}) and sqrt({other.d}) values")
-            q1, r1 = self._parts()
-            q2, r2 = other._parts()
-            return _from_parts(q1 * q2 + r1 * r2 * self.d, q1 * r2 + r1 * q2, self.d)
+            if other.d != d:
+                raise FieldMixError(f"cannot multiply sqrt({d}) and sqrt({other.d}) values")
+            a2, b2 = other.a, other.b
+            return _surd(a * a2 + b * b2 * d, a * b2 + b * a2, c * other.c, d)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -239,19 +270,35 @@ class Surd(BoundaryValue):
     def reciprocal(self):
         # 1/((a+b*sqrt(d))/c) = c*(a-b*sqrt(d))/(a^2-b^2 d); the norm is
         # nonzero because the value is irrational.
-        n = self.a * self.a - self.b * self.b * self.d
-        return _from_parts(Fraction(self.c * self.a, n), Fraction(-self.c * self.b, n), self.d)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return _surd(c * a, -c * b, a * a - b * b * d, d)
 
     def __truediv__(self, other):
         other = _coerce(other)
-        if isinstance(other, Rational):
-            return self * other.reciprocal()
-        if isinstance(other, Surd):
+        if isinstance(other, (Rational, Surd)):
             return self * other.reciprocal()
         return NotImplemented
 
     def __rtruediv__(self, other):
         return _coerce(other) * self.reciprocal()
+
+
+_set_a = Surd.a.__set__
+_set_b = Surd.b.__set__
+_set_c = Surd.c.__set__
+_set_d = Surd.d.__set__
+
+
+def _surd(a: int, b: int, c: int, d: int) -> BoundaryValue:
+    """Canonical value of (a + b*sqrt(d))/c for squarefree d > 1 and c != 0."""
+    if b == 0:
+        return _rational(a, c)
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = math.gcd(a, b, c)
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    return Surd(a, b, c, d)
 
 
 class Infinity(BoundaryValue):
@@ -314,21 +361,6 @@ def _coerce(x) -> BoundaryValue:
     raise TypeError(f"cannot interpret {x!r} as a boundary value")
 
 
-def from_fraction(fr) -> Rational:
-    return Rational(fr)
-
-
-def _from_parts(q: Fraction, r: Fraction, d: int) -> BoundaryValue:
-    """Value q + r*sqrt(d) (d already squarefree) as a canonical Rational/Surd."""
-    if r == 0:
-        return Rational(q)
-    den = math.lcm(q.denominator, r.denominator)
-    a = q.numerator * (den // q.denominator)
-    b = r.numerator * (den // r.denominator)
-    g = math.gcd(math.gcd(abs(a), abs(b)), den)
-    return Surd(a // g, b // g, den // g, d)
-
-
 def normalize_surd(a: int, b: int, c: int, d: int) -> BoundaryValue:
     """Canonicalize (a + b*sqrt(d))/c.
 
@@ -340,15 +372,9 @@ def normalize_surd(a: int, b: int, c: int, d: int) -> BoundaryValue:
     if d <= 0:
         raise ValueError("only real quadratic fields are supported (d > 0)")
     s, d0 = _squarefree_split(d)
-    b *= s
-    if b == 0:
-        return Rational(Fraction(a, c))
     if d0 == 1:
-        return Rational(Fraction(a + b, c))
-    if c < 0:
-        a, b, c = -a, -b, -c
-    g = math.gcd(math.gcd(abs(a), abs(b)), c)
-    return Surd(a // g, b // g, c // g, d0)
+        return _rational(a + b * s, c)
+    return _surd(a, b * s, c, d0)
 
 
 def _sign_of_root_combination(A: int, B: int, d: int) -> int:
@@ -369,88 +395,67 @@ def _sign_of_root_combination(A: int, B: int, d: int) -> int:
     return 1 if t < 0 else -1  # A < 0, B > 0
 
 
-def _sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(d) <= hi with hi - lo = 2**-bits."""
-    scale = 1 << bits
-    lo = math.isqrt(d * scale * scale)
-    return Fraction(lo, scale), Fraction(lo + 1, scale)
-
-
-def _interval(x: BoundaryValue, bits: int) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Rational):
-        return x.fr, x.fr
-    assert isinstance(x, Surd)
-    lo, hi = _sqrt_bounds(x.d, bits)
-    if x.b > 0:
-        blo, bhi = x.b * lo, x.b * hi
-    else:
-        blo, bhi = x.b * hi, x.b * lo
-    return (x.a + blo) / x.c, (x.a + bhi) / x.c
-
-
 def compare(x: BoundaryValue, y: BoundaryValue) -> int:
     """Total-order comparison returning LESS / EQUAL / GREATER."""
     return compare_detailed(x, y)[0]
 
 
 def compare_detailed(x: BoundaryValue, y: BoundaryValue) -> tuple[int, bool]:
-    """Comparison plus an exactness flag (False when an Approx is involved)."""
+    """Comparison plus an exactness flag (False when an Approx is involved).
+
+    Exact values are ordered by integer signs.  Against a rational or
+    within one field, sign(x - y) is the sign of A + B*sqrt(d).  For
+    surds from fields d1 != d2, scaling both by c1*c2 > 0 turns x - y
+    into X - Y with X = P + Q*sqrt(d1) and Y = R*sqrt(d2), both nonzero.
+    When sign(X) != sign(Y) the answer is sign(X); otherwise it is
+    sign(X) * sign(X^2 - Y^2), where X^2 - Y^2 = (P^2 + Q^2*d1 - R^2*d2)
+    + 2PQ*sqrt(d1) is never zero because the fields share no irrational.
+    """
     x, y = _coerce(x), _coerce(y)
+    if isinstance(x, Surd):
+        a, b, c, d = x.a, x.b, x.c, x.d
+        if isinstance(y, Rational):
+            n, m = y.numerator, y.denominator
+            return _sign_of_root_combination(a * m - n * c, b * m, d), True
+        if isinstance(y, Surd):
+            c2 = y.c
+            P, Q = a * c2 - y.a * c, b * c2
+            if y.d == d:
+                return _sign_of_root_combination(P, Q - y.b * c, d), True
+            R = y.b * c
+            sx, sy = _sign_of_root_combination(P, Q, d), (R > 0) - (R < 0)
+            if sx != sy:
+                return sx, True
+            t = _sign_of_root_combination(P * P + Q * Q * d - R * R * y.d, 2 * P * Q, d)
+            return sx * t, True
+    elif isinstance(x, Rational):
+        n, m = x.numerator, x.denominator
+        if isinstance(y, Rational):
+            t = n * y.denominator - y.numerator * m
+            return (t > 0) - (t < 0), True
+        if isinstance(y, Surd):
+            # n/m - (a + b sqrt(d))/c has the sign of (n*c - a*m) - b*m*sqrt(d)
+            return _sign_of_root_combination(n * y.c - y.a * m, -y.b * m, y.d), True
     xi, yi = isinstance(x, Infinity), isinstance(y, Infinity)
     if xi or yi:
         if xi and yi:
             return EQUAL, True
         return (GREATER, True) if xi else (LESS, True)
-    if isinstance(x, Approx) or isinstance(y, Approx):
-        fx, fy = x.to_float(), y.to_float()
-        ex = x.err if isinstance(x, Approx) else 0.0
-        ey = y.err if isinstance(y, Approx) else 0.0
-        if fx + ex < fy - ey:
-            return LESS, False
-        if fx - ex > fy + ey:
-            return GREATER, False
-        return EQUAL, False
-    if isinstance(x, Rational) and isinstance(y, Rational):
-        fr_x, fr_y = x.fr, y.fr
-        return ((fr_x > fr_y) - (fr_x < fr_y)), True
-    if isinstance(x, Surd) and isinstance(y, Surd) and x.d != y.d:
-        # Distinct quadratic fields never share an irrational value, so
-        # rational interval refinement always separates them.
-        bits = 16
-        while bits <= 4096:
-            xlo, xhi = _interval(x, bits)
-            ylo, yhi = _interval(y, bits)
-            if xhi < ylo:
-                return LESS, True
-            if yhi < xlo:
-                return GREATER, True
-            bits *= 2
-        raise ArithmeticError("interval refinement failed to separate surds")
-    # same field (or surd vs rational): exact sign of the difference
-    if isinstance(x, Surd):
-        d = x.d
-        q1, r1 = x._parts()
-    else:
-        d = y.d  # type: ignore[union-attr]
-        q1, r1 = x.fr, Fraction(0)
-    if isinstance(y, Surd):
-        q2, r2 = y._parts()
-    else:
-        q2, r2 = y.fr, Fraction(0)
-    dq, dr = q1 - q2, r1 - r2
-    if dq == 0 and dr == 0:
-        return EQUAL, True
-    den = math.lcm(dq.denominator, dr.denominator)
-    A = dq.numerator * (den // dq.denominator)
-    B = dr.numerator * (den // dr.denominator)
-    return _sign_of_root_combination(A, B, d), True
+    fx, fy = x.to_float(), y.to_float()
+    ex = x.err if isinstance(x, Approx) else 0.0
+    ey = y.err if isinstance(y, Approx) else 0.0
+    if fx + ex < fy - ey:
+        return LESS, False
+    if fx - ex > fy + ey:
+        return GREATER, False
+    return EQUAL, False
 
 
 def floor_exact(x: BoundaryValue) -> int:
     """Exact floor of a finite exact value."""
     x = _coerce(x)
     if isinstance(x, Rational):
-        return x.fr.numerator // x.fr.denominator
+        return x.numerator // x.denominator
     if isinstance(x, Surd):
         t = x.b * x.b * x.d
         m = math.isqrt(t) if x.b > 0 else -math.isqrt(t) - 1
@@ -494,7 +499,7 @@ def emit_value(x: BoundaryValue) -> str:
     if isinstance(x, Infinity):
         return "inf"
     if isinstance(x, Rational):
-        return f"rat:{x.fr.numerator}/{x.fr.denominator}"
+        return f"rat:{x.numerator}/{x.denominator}"
     if isinstance(x, Surd):
         return f"surd:({x.a}+{x.b}*sqrt({x.d}))/{x.c}"
     if isinstance(x, Approx):

@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import (
-    INF,
-    Approx,
-    BoundaryValue,
-    Infinity,
-    Rational,
-    Surd,
-    _from_parts,
-)
+from .exact import INF, Approx, BoundaryValue, Infinity, Rational, Surd, _coprime, _surd
 
 __all__ = ["GroupElement", "HPoint", "IsometricSphere", "identity", "in_gamma0"]
 
@@ -75,40 +67,36 @@ class GroupElement:
     # --- actions ------------------------------------------------------------
 
     def apply_boundary(self, x: BoundaryValue) -> BoundaryValue:
-        """Exact image of a boundary value; poles map to inf, inf to a/c."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if isinstance(x, Infinity):
-            if c == 0:
-                return INF
-            return Rational(Fraction(a, c))
-        if isinstance(x, Rational):
-            num = a * x.fr + b
-            den = c * x.fr + d
-            if den == 0:
-                return INF
-            return Rational(num / den)
+        """Exact image of a boundary value; poles map to inf, inf to a/c.
+
+        The matrix is unimodular, so the image of a reduced fraction is
+        reduced, and the image of (a + b*sqrt(d))/c has sqrt(d)-coefficient
+        b*c before the one gcd of the surd canonicaliser.
+        """
+        A, B, C, D = self.a, self.b, self.c, self.d
         if isinstance(x, Surd):
-            q, r = x._parts()
-            # numerator (a*q+b) + a*r sqrt(d), denominator (c*q+d) + c*r sqrt(d)
-            nq, nr = a * q + b, a * r
-            dq, dr = c * q + d, Fraction(c) * r
-            if dq == 0 and dr == 0:
-                return INF
-            norm = dq * dq - dr * dr * x.d
+            a, b, c, d = x.a, x.b, x.c, x.d
+            n0, n1 = A * a + B * c, A * b
+            m0, m1 = C * a + D * c, C * b
+            norm = m0 * m0 - m1 * m1 * d
             if norm == 0:
                 raise ArithmeticError("denominator norm vanished on an irrational value")
-            return _from_parts(
-                (nq * dq - nr * dr * x.d) / norm,
-                (nr * dq - nq * dr) / norm,
-                x.d,
-            )
+            return _surd(n0 * m0 - n1 * m1 * d, b * c, norm, d)
+        if isinstance(x, Rational):
+            p, q = x.numerator, x.denominator
+            num, den = A * p + B * q, C * p + D * q
+            if den == 0:
+                return INF
+            return _coprime(num, den) if den > 0 else _coprime(-num, -den)
+        if isinstance(x, Infinity):
+            return INF if C == 0 else _coprime(A, C)
         if isinstance(x, Approx):
-            den = c * x.value + d
+            den = C * x.value + D
             if den == 0:
                 return INF
             # first-order error propagation through the Moebius map
             deriv = 1.0 / (den * den)
-            val = (a * x.value + b) / den
+            val = (A * x.value + B) / den
             return Approx(val, abs(deriv) * x.err * 1.0000000001 + 1e-17 * (1 + abs(val)))
         raise TypeError(f"cannot apply group element to {x!r}")
 
@@ -188,14 +176,3 @@ class IsometricSphere:
     def __repr__(self):
         return f"IsometricSphere(center={self.center}, radius={self.radius})"
 
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g * h
-
-
-def apply_boundary(g: GroupElement, x: BoundaryValue) -> BoundaryValue:
-    return g.apply_boundary(x)
-
-
-def isometric_sphere(g: GroupElement) -> IsometricSphere:
-    return IsometricSphere(g)

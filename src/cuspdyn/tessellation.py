@@ -231,17 +231,12 @@ def locate_cell(
     if not ks:
         raise AssertionError("reduced point escaped the closed domain")
     k = ks[0]
-    boundary = len(ks) > 1
-    if not boundary and not modular:
-        # interior of the strip but possibly on a sphere arc
-        boundary = any(s.side(w) == 0 for s in dom.spheres)
+    # on a wall shared by two precells, on a side wall Re = 0 or 1, or on a sphere arc
+    boundary = len(ks) > 1 or w.x == 0 or w.x == 1
     if not boundary and modular:
-        boundary = (
-            (w.x**2 + w.y2 == 1)
-            or ((w.x - 1) ** 2 + w.y2 == 1)
-            or w.x == 0
-            or w.x == 1
-        )
+        boundary = w.x**2 + w.y2 == 1 or (w.x - 1) ** 2 + w.y2 == 1
+    elif not boundary:
+        boundary = any(s.side(w) == 0 for s in dom.spheres)
     g = g_red.inv()
     c = cell(p, k, modular=modular)
     if not c.contains(w):

@@ -365,13 +365,6 @@ class CollocationOperator:
             lam = v @ (self.matrix @ v)
         return lam, v
 
-    def interior_node_mask(self, margin: int = 2) -> np.ndarray:
-        """Nodes away from the chart ends (the first/last `margin` per interval)."""
-        mask = np.zeros(len(self.node_x), dtype=bool)
-        for b in range(len(self.charts)):
-            mask[b * self.n + margin : (b + 1) * self.n - margin] = True
-        return mask
-
 
 def collocation_matrix(table: BranchTable, beta, nodes_per_interval: int) -> CollocationOperator:
     return CollocationOperator(table, beta, nodes_per_interval)

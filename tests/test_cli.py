@@ -164,3 +164,21 @@ def test_cusp_input_reports_cleanly(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["termination"]["kind"] == "cusp" and data["letters"] == []
+
+
+def test_cusp_input_with_long_continued_fraction(capsys):
+    # consecutive Fibonacci numbers (627 digits): 3000 Euclid steps for the witness
+    a, b = 0, 1
+    for _ in range(2999):
+        a, b = b, a + b
+    code, out = run_cli(capsys, "code", "--p", "5", "--x", f"rat:{a}/{b}")
+    assert code == 0
+    assert json.loads(out)["termination"]["kind"] == "cusp"
+
+
+def test_domain_without_group_is_argument_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["domain"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

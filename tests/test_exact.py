@@ -226,3 +226,88 @@ def test_moebius_closure_chains():
         assert isinstance(cur, (Rational, Surd)) or cur is INF
         if isinstance(v, Surd) and isinstance(cur, Surd):
             assert cur.d == v.d
+
+
+# --- Fraction-based reference for the integer kernel --------------------------
+#
+# A value of Q(sqrt(d)) is (q, r) meaning q + r*sqrt(d) with Fractions q, r.
+
+_FIELDS = (2, 3, 5, 6, 7, 10, 13)
+
+
+def _ref(v):
+    if isinstance(v, Rational):
+        return Fraction(v.numerator, v.denominator), Fraction(0)
+    return Fraction(v.a, v.c), Fraction(v.b, v.c)
+
+
+def _ref_sign(q, r, d):
+    """Sign of q + r*sqrt(d)."""
+    if q * r >= 0:  # no cancellation
+        return (q + r > 0) - (q + r < 0)
+    gap = q * q - r * r * d
+    return ((q > 0) - (q < 0)) * ((gap > 0) - (gap < 0))
+
+
+def _ref_value(q, r, d):
+    if r == 0:
+        return Rational(q)
+    c = math.lcm(q.denominator, r.denominator)
+    a, b = q.numerator * (c // q.denominator), r.numerator * (c // r.denominator)
+    g = math.gcd(a, b, c)
+    return Surd(a // g, b // g, c // g, d)
+
+
+def _assert_canonical(v):
+    if isinstance(v, Rational):
+        assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+    else:
+        assert v.c > 0 and v.b != 0 and math.gcd(v.a, v.b, v.c) == 1
+
+
+_coeff = st.integers(-10**6, 10**6)
+
+
+@st.composite
+def _field_values(draw):
+    d = draw(st.sampled_from(_FIELDS))
+
+    def one():
+        if draw(st.booleans()):
+            return Rational(draw(_coeff), draw(st.integers(1, 10**6)))
+        b = draw(_coeff.filter(lambda v: v != 0))
+        return normalize_surd(draw(_coeff), b, draw(st.integers(1, 10**6)), d)
+
+    return d, one(), one()
+
+
+@given(_field_values())
+@settings(max_examples=400, deadline=None)
+def test_kernel_matches_fraction_reference(case):
+    d, x, y = case
+    (q1, r1), (q2, r2) = _ref(x), _ref(y)
+    assert compare(x, y) == _ref_sign(q1 - q2, r1 - r2, d)
+    assert compare(y, x) == -compare(x, y)
+    got = [x + y, x - y, x * y]
+    want = [(q1 + q2, r1 + r2), (q1 - q2, r1 - r2), (q1 * q2 + r1 * r2 * d, q1 * r2 + r1 * q2)]
+    norm = q2 * q2 - r2 * r2 * d
+    if norm != 0:
+        got.append(x / y)
+        q3, r3 = q2 / norm, -r2 / norm  # 1/y
+        want.append((q1 * q3 + r1 * r3 * d, q1 * r3 + r1 * q3))
+    for g, (q, r) in zip(got, want):
+        _assert_canonical(g)
+        assert g == _ref_value(q, r, d)
+
+
+def test_compare_cross_field_beyond_any_fixed_precision():
+    # x = sqrt(2) + (s3 - s2) with s2, s3 the 5000-bit truncations of
+    # sqrt(2), sqrt(3): x lies below y = sqrt(3) by less than 2**-5001
+    # (checked with mpmath at 20,000 bits).
+    n = 2**5000
+    s2 = Fraction(math.isqrt(2 * n * n), n)
+    s3 = Fraction(math.isqrt(3 * n * n), n)
+    x = Rational(s3 - s2) + normalize_surd(0, 1, 1, 2)
+    y = normalize_surd(0, 1, 1, 3)
+    assert compare(x, y) == LESS
+    assert compare(y, x) == GREATER

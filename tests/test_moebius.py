@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cuspdyn.exact import INF, Rational, normalize_surd
+from cuspdyn.exact import INF, Rational, Surd, normalize_surd
 from cuspdyn.moebius import GroupElement, HPoint, IsometricSphere, identity, in_gamma0
 
 
@@ -115,3 +118,44 @@ def test_identity():
     assert identity().is_identity()
     z = HPoint(Fraction(1, 3), Fraction(2, 7))
     assert identity().apply_hpoint(z) == z
+
+
+def _ref_image(g, v):
+    """Image of v = q + r*sqrt(d) under g, with q, r Fractions; rationals have r = 0."""
+    if isinstance(v, Rational):
+        q, r, rad = Fraction(v.numerator, v.denominator), Fraction(0), 2
+    else:
+        q, r, rad = Fraction(v.a, v.c), Fraction(v.b, v.c), v.d
+    nq, nr, dq, dr = g.a * q + g.b, g.a * r, g.c * q + g.d, g.c * r
+    if dq == 0 and dr == 0:
+        return INF
+    norm = dq * dq - dr * dr * rad
+    q2, r2 = (nq * dq - nr * dr * rad) / norm, (nr * dq - nq * dr) / norm
+    if r2 == 0:
+        return Rational(q2)
+    c = math.lcm(q2.denominator, r2.denominator)
+    a, b = q2.numerator * (c // q2.denominator), r2.numerator * (c // r2.denominator)
+    k = math.gcd(a, b, c)
+    return Surd(a // k, b // k, c // k, rad)
+
+
+@given(
+    word=st.lists(st.integers(-6, 6), max_size=10),
+    num=st.integers(-10**6, 10**6),
+    b=st.integers(-10**3, 10**3).filter(lambda v: v != 0),
+    den=st.integers(1, 10**6),
+    d=st.sampled_from((0, 2, 3, 5, 7, 11)),
+)
+@settings(max_examples=400, deadline=None)
+def test_apply_boundary_matches_fraction_reference(word, num, b, den, d):
+    # g = T^k1 S T^k2 S ... with T = (1 1; 0 1), S = (0 -1; 1 0)
+    g = identity()
+    for k in word:
+        g = g * GroupElement(1, k, 0, 1) * GroupElement(0, -1, 1, 0)
+    v = Rational(num, den) if d == 0 else normalize_surd(num, b, den, d)  # d = 0: a rational
+    img = g.apply_boundary(v)
+    assert img == _ref_image(g, v)
+    if isinstance(img, Rational):
+        assert img.denominator > 0 and math.gcd(img.numerator, img.denominator) == 1
+    elif isinstance(img, Surd):
+        assert img.c > 0 and math.gcd(img.a, img.b, img.c) == 1

@@ -188,6 +188,13 @@ def test_locate_cell_examples():
     assert g3.is_identity() and k3 == 0 and b3  # shared wall of cells 0 and 1
 
 
+def test_locate_cell_flags_side_walls():
+    # reduced points on Re z = 0 and Re z = 1 lie on the domain's side walls
+    for z in (HPoint(0, 4), HPoint(1, 4)):
+        _, _, boundary = locate_cell(5, z)
+        assert boundary
+
+
 def test_cell_tiling_disjointness():
     # tiles with distinct ideal-vertex sets never overlap in their interiors;
     # different (g, k) pairs may name the same tile, so key by vertices
