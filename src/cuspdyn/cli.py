@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import dynamics, flow_oracle, sampling, svg, tessellation, transfer
-from .exact import emit_value, parse_value
+from .exact import GREATER, Infinity, Rational, compare, emit_value, parse_value
 
 _DEFAULT_APPROX_ERR = float(os.environ.get("CUSPDYN_APPROX_ERR", "1e-12"))
 
@@ -79,6 +79,8 @@ def cmd_code(args) -> int:
 def cmd_cf(args) -> int:
     table = dynamics.modular_table()
     x = parse_value(args.x, _DEFAULT_APPROX_ERR)
+    if isinstance(x, Infinity) or compare(x, Rational(1)) != GREATER:
+        raise ValueError(f"cf needs a finite x > 1, got {emit_value(x)}")
     seq = dynamics.code_future(table, x, args.steps)
     digits = dynamics.accelerate_to_cf(seq, max_digits=args.digits)
     out = digits.to_json()
@@ -95,7 +97,7 @@ def cmd_return(args) -> int:
     y = parse_value(args.y, _DEFAULT_APPROX_ERR)
     sp = flow_oracle.canonical_section_point(table, x, y)
     if args.previous:
-        rec = flow_oracle.previous_exterior_geometric(sp, table, bound=args.bound)
+        rec = flow_oracle.previous_exterior_geometric(sp, table)
         if rec is None:
             _dump({"schema": 1, "previous": None})
             return 0
@@ -103,7 +105,7 @@ def cmd_return(args) -> int:
         out["previous"] = True
         _dump(out)
         return 0
-    rec = flow_oracle.first_return_geometric(sp, table, bound=args.bound)
+    rec = flow_oracle.first_return_geometric(sp, table)
     out = rec.to_json()
     if args.trace:
         out["section_point"] = sp.to_json()
@@ -113,9 +115,7 @@ def cmd_return(args) -> int:
 
 def cmd_conjugacy_check(args) -> int:
     table = _table(args)
-    bound = args.bound if args.bound else flow_oracle.default_bound(table.p)
-    report = sampling.conjugacy_check(table, args.samples, args.seed, bound=bound)
-    report["bound"] = bound
+    report = sampling.conjugacy_check(table, args.samples, args.seed)
     _dump(report)
     return 0 if report["matches"] == report["samples"] else 1
 
@@ -204,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_args(sp)
     sp.add_argument("--x", required=True, help="forward endpoint")
     sp.add_argument("--y", required=True, help="backward endpoint")
-    sp.add_argument("--bound", type=int, default=None)
     sp.add_argument("--previous", action="store_true", help="previous exterior instead of next")
     sp.add_argument("--trace", action="store_true")
     sp.set_defaults(fn=cmd_return)
@@ -213,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_args(sp)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--bound", type=int, default=None)
     sp.set_defaults(fn=cmd_conjugacy_check)
 
     sp = sub.add_parser("transfer", help="evaluate the transfer operator at a point")

@@ -24,7 +24,7 @@ from .exact import (
     emit_value,
 )
 from .moebius import GroupElement
-from .tessellation import g_pair
+from .tessellation import _require_prime, g_pair
 
 __all__ = [
     "NEG_INF_LABEL",
@@ -172,6 +172,11 @@ class BranchTable:
         return self._letter_lookup.get((g.key(), line, direction))
 
     @property
+    def name(self) -> str:
+        """The table as JSON output names it: modular or gamma0(p)."""
+        return "modular" if self.kind == "modular" else f"gamma0({self.p})"
+
+    @property
     def labels(self) -> list:
         return [rec.label for rec in self.branches]
 
@@ -240,16 +245,14 @@ class BranchTable:
     def to_json(self) -> dict:
         return {
             "schema": 1,
-            "table": "modular" if self.kind == "modular" else f"gamma0({self.p})",
+            "table": self.name,
             "branches": [rec.to_json() for rec in self.branches],
         }
 
 
 def branch_table(p: int) -> BranchTable:
     """The cusp-expansion branch table for Gamma_0(p)."""
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"p = {p} is not prime")
-
+    _require_prime(p)
     frac = lambda n, d=1: Rational(Fraction(n, d))
     h_neg = GroupElement(-1, 0, p, -1)
     records = []
@@ -459,9 +462,8 @@ def code_future(
             seen[cur] = step + 1
     if term is None:
         term = Termination("step-cap", len(letters))
-    kind = table.kind if table.kind == "modular" else f"gamma0({table.p})"
     return CodingSequence(
-        table_kind=kind,
+        table_kind=table.name,
         letters=tuple(letters),
         termination=term,
         states=tuple(states[: len(letters) + 1]) if keep_states else None,
@@ -531,9 +533,8 @@ def code_two_sided(
         past_term = Termination("step-cap", len(past_letters))
 
     letters = tuple(reversed(past_letters)) + future.letters
-    kind = table.kind if table.kind == "modular" else f"gamma0({table.p})"
     return CodingSequence(
-        table_kind=kind,
+        table_kind=table.name,
         letters=letters,
         termination=future.termination,
         origin=len(past_letters),

@@ -1,15 +1,24 @@
 """Geometric first-return oracle for the cusp-expansion cross section.
 
-Completely independent of the branch tables: it enumerates group
-elements by raw entry bound, collects the translated boundary geodesics
-g.(vertical line), intersects them with a given geodesic, and orders the
-crossings along the geodesic by the real coordinate (monotone between
-the endpoints).  A numpy prefilter narrows the candidates; every
-reported crossing is then verified and ordered in exact arithmetic.
+The Gamma_0(p)-translates of the representative lines j/p (the line 0
+for the modular preset) are exactly the sides of the cells
+(k/q, (k+1)/q, inf) and of their translates, with q = p (q = 1 for the
+modular preset): the Farey tessellation scaled by 1/q.  So a geodesic
+leaving the grid line it starts on, towards its endpoint t, crosses the
+grid lines m/q between the two and then leaves the strip through the
+bottom arc (m/q, (m+1)/q) of the cell m = floor(q t); when t is itself
+a grid point the geodesic runs into that cusp instead and crosses
+nothing more.  The oracle walks this sequence with one exact floor and
+reports the first crossing that is not a representative (interior) one.
 
-Exact ordering of crossing positions needs products of the two endpoint
-values, so the oracle requires both endpoints in a single real quadratic
-field (rationals allowed); this covers every geodesic the conjugacy and
+The crossed side is labelled by solving g(inf) = e, g(base) = o for an
+endpoint e in the cusp orbit of inf, then renormalized exactly by
+g^{-1}.  The branch tables are not consulted for any of this: they only
+supply the group and name the letter of the element found.
+
+Exact crossing positions need products of the two endpoint values, so
+the oracle requires both endpoints in a single real quadratic field
+(rationals allowed); this covers every geodesic the conjugacy and
 classification tests use.
 """
 
@@ -18,11 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import (
     EQUAL,
-    GREATER,
     INF,
     LESS,
     BoundaryValue,
@@ -31,9 +37,10 @@ from .exact import (
     Surd,
     compare,
     emit_value,
+    floor_exact,
 )
-from .dynamics import BranchTable
-from .moebius import GroupElement
+from .dynamics import BranchTable, cusp_witness
+from .moebius import GroupElement, identity
 
 __all__ = [
     "Geodesic",
@@ -41,18 +48,12 @@ __all__ = [
     "CrossingPoint",
     "ReturnRecord",
     "Contained",
-    "IncreaseBoundError",
     "intersect_vertical",
     "classify",
     "first_return_geometric",
     "previous_exterior_geometric",
     "canonical_section_point",
-    "default_bound",
 ]
-
-
-class IncreaseBoundError(RuntimeError):
-    """The enumeration bound was exhausted before a crossing was confirmed."""
 
 
 class Contained:
@@ -70,7 +71,7 @@ def _field_of(x: BoundaryValue) -> int | None:
         return x.d
     if isinstance(x, Rational):
         return None
-    raise TypeError(f"oracle geodesics need exact finite endpoints, got {x!r}")
+    raise ValueError(f"oracle geodesics need exact finite endpoints, got {emit_value(x)}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,10 @@ class SectionPoint:
         line = Rational(self.line)
         if self.direction == +1:
             ok = compare(y, line) == LESS and compare(line, x) == LESS
-        else:
+        elif self.direction == -1:
             ok = compare(x, line) == LESS and compare(line, y) == LESS
+        else:
+            raise ValueError(f"direction must be +1 or -1, got {self.direction!r}")
         if not ok:
             raise ValueError("geodesic does not cross the line transversally in that direction")
 
@@ -182,149 +185,7 @@ def intersect_vertical(geod: Geodesic, a) -> CrossingPoint | None | Contained:
     return CrossingPoint(ra, h2)
 
 
-def default_bound(p: int | None) -> int:
-    if p is None or p <= 7:
-        return 50
-    return 120
-
-
-# --- translate family enumeration -------------------------------------------
-
-
-class _Family:
-    """All arcs g.(line j/p) with |entries(g)| <= bound, deduplicated."""
-
-    def __init__(self, kind: str, p: int | None, bound: int):
-        self.kind = kind
-        self.p = p
-        self.bound = bound
-        self.rep_lines = (
-            [Fraction(0)] if kind == "modular" else [Fraction(j, p) for j in range(p)]
-        )
-        self.allow_leftward_zero = kind == "gamma0"
-        arcs: dict = {}
-        for g in _enumerate_elements(kind, p, bound):
-            for base in self.rep_lines:
-                e1 = g.apply_boundary(Rational(base))
-                e2 = g.apply_boundary(INF)
-                key = _arc_key(e1, e2)
-                entry = arcs.get(key)
-                if entry is None:
-                    arcs[key] = entry = _Arc(e1, e2)
-                entry.labels.append((g, base))
-        self.arcs = list(arcs.values())
-        n = len(self.arcs)
-        self.vertical = np.zeros(n, dtype=bool)
-        self.u = np.zeros(n)   # vertical: base; circle: first endpoint
-        self.v = np.zeros(n)   # vertical: unused 0.0; circle: second endpoint
-        for i, arc in enumerate(self.arcs):
-            if arc.is_vertical:
-                self.vertical[i] = True
-                self.u[i] = float(arc.base)
-            else:
-                self.u[i] = arc.e1.to_float()
-                self.v[i] = arc.e2.to_float()
-
-    def is_interior(self, arc: "_Arc", travel: int) -> bool:
-        """Crossing of a representative line in a representative direction."""
-        if not arc.is_vertical or arc.base not in self.rep_lines:
-            return False
-        if travel == +1:
-            return True
-        return self.allow_leftward_zero and arc.base == 0
-
-
-class _Arc:
-    __slots__ = ("e1", "e2", "labels", "is_vertical", "base")
-
-    def __init__(self, e1: BoundaryValue, e2: BoundaryValue):
-        self.e1 = e1
-        self.e2 = e2
-        self.labels: list[tuple[GroupElement, Fraction]] = []
-        self.is_vertical = isinstance(e1, Infinity) or isinstance(e2, Infinity)
-        self.base = None
-        if self.is_vertical:
-            fin = e2 if isinstance(e1, Infinity) else e1
-            self.base = fin.fr
-
-
-def _arc_key(e1: BoundaryValue, e2: BoundaryValue):
-    def k(e):
-        return (1,) if isinstance(e, Infinity) else (0, e.fr)
-
-    k1, k2 = k(e1), k(e2)
-    return (k1, k2) if k1 <= k2 else (k2, k1)
-
-
-def _enumerate_elements(kind: str, p: int | None, bound: int):
-    """Group elements with entries bounded by `bound` (c >= 0 canonical)."""
-    step = 1 if kind == "modular" else p
-    for b in range(-bound, bound + 1):
-        yield GroupElement(1, b, 0, 1)
-    for c in range(step, bound + 1, step):
-        for a in range(-bound, bound + 1):
-            try:
-                d0 = pow(a, -1, c)
-            except ValueError:
-                continue
-            d = d0 - c * ((d0 + bound) // c)  # smallest d >= -bound with d = d0 mod c
-            while d <= bound:
-                bb = (a * d - 1) // c
-                if -bound <= bb <= bound and a * d - bb * c == 1:
-                    yield GroupElement(a, bb, c, d)
-                d += c
-
-
-_family_cache: dict = {}
-
-
-def _get_family(kind: str, p: int | None, bound: int) -> _Family:
-    key = (kind, p, bound)
-    fam = _family_cache.get(key)
-    if fam is None:
-        fam = _family_cache[key] = _Family(kind, p, bound)
-    return fam
-
-
-# --- exact crossing helpers --------------------------------------------------
-
-
-def _crosses(geod: Geodesic, arc: _Arc) -> bool:
-    x, y = geod.forward, geod.backward
-    lo, hi = (y, x) if geod.travel() == +1 else (x, y)
-    if arc.is_vertical:
-        b = Rational(arc.base)
-        return compare(lo, b) == LESS and compare(b, hi) == LESS
-
-    def classify(e):
-        c1, c2 = compare(e, lo), compare(e, hi)
-        if c1 == EQUAL or c2 == EQUAL:
-            return "touch"
-        return "in" if (c1 == GREATER and c2 == LESS) else "out"
-
-    s1, s2 = classify(arc.e1), classify(arc.e2)
-    if "touch" in (s1, s2):
-        return False
-    return s1 != s2
-
-
-def _position(geod: Geodesic, arc: _Arc) -> BoundaryValue:
-    """Real coordinate of the crossing point (assumes _crosses)."""
-    if arc.is_vertical:
-        return Rational(arc.base)
-    x, y = geod.forward, geod.backward
-    u, v = arc.e1, arc.e2
-    num = u * v - x * y
-    den = (u + v) - (x + y)
-    return num / den
-
-
-def _height2_at(geod: Geodesic, pos: BoundaryValue) -> BoundaryValue:
-    x, y = geod.forward, geod.backward
-    return (pos - y) * (x - pos)
-
-
-# --- first return / previous exterior ----------------------------------------
+# --- return records ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -370,252 +231,175 @@ def canonical_section_point(table: BranchTable, x: BoundaryValue, y: BoundaryVal
     return SectionPoint(geod, line, direction)
 
 
-def _candidates_sorted(fam: _Family, geod: Geodesic, sp_key: float, forward: bool):
-    """Float prefilter: plausible crossings ordered along the scan direction."""
-    x0, y0 = geod.forward.to_float(), geod.backward.to_float()
-    lo, hi = (min(x0, y0), max(x0, y0))
-    s = geod.travel()
-    scale = max(1.0, abs(x0), abs(y0))
-    eps = 1e-9 * scale
-
-    u, v, vert = fam.u, fam.v, fam.vertical
-    in_u = (u > lo - eps) & (u < hi + eps)
-    strict_u = (u > lo + eps) & (u < hi - eps)
-    in_v = (v > lo - eps) & (v < hi + eps)
-    strict_v = (v > lo + eps) & (v < hi - eps)
-    cand = np.where(
-        vert,
-        in_u,
-        (in_u | in_v) & ~(strict_u & strict_v),
-    )
-    den = (u + v) - (x0 + y0)
-    safe = np.abs(den) > 1e-30
-    pos = np.where(
-        vert, u, (u * v - x0 * y0) / np.where(safe, den, 1.0)
-    )
-    cand &= vert | safe
-    scan_key = (s if forward else -s) * pos  # ascending along the scan
-    # generous margins: near-concentric arcs can carry noticeable float
-    # position error, and every kept candidate is verified exactly anyway
-    margin = 1e-6 * (1.0 + np.abs(pos))
-    sp_scan = sp_key if forward else -sp_key
-    cand &= scan_key > sp_scan - margin
-    idx = np.nonzero(cand)[0]
-    order = np.argsort(scan_key[idx], kind="stable")
-    return idx[order], scan_key
+# --- the cell walk -------------------------------------------------------------
 
 
-def _scan(
-    fam: _Family,
-    geod: Geodesic,
-    sp_pos: BoundaryValue,
-    forward: bool,
-):
-    """First exterior crossing strictly beyond sp_pos, plus preceding interiors."""
-    geod.field()  # validates single-field endpoints
-    s = geod.travel()
-    sp_key = s * sp_pos.to_float()
-    idx, scan_keys = _candidates_sorted(fam, geod, sp_key, forward)
+def _grid(table: BranchTable) -> int:
+    return 1 if table.kind == "modular" else table.p
 
-    def earlier(a: BoundaryValue, b: BoundaryValue) -> bool:
-        """a strictly precedes b in the scan direction."""
-        cmp = compare(a, b)
-        want = (LESS if s == +1 else GREATER) if forward else (GREATER if s == +1 else LESS)
-        return cmp == want
 
-    best: tuple[BoundaryValue, _Arc] | None = None
-    best_key = None
-    interiors: list[tuple[BoundaryValue, _Arc]] = []
-    for i in idx:
-        if best_key is not None and scan_keys[i] > best_key + 1e-6 * (1.0 + abs(best_key)):
-            break
-        arc = fam.arcs[i]
-        if not _crosses(geod, arc):
-            continue
-        pos = _position(geod, arc)
-        if not earlier(sp_pos, pos):
-            continue
-        if best is not None:
-            if compare(pos, best[0]) == EQUAL and not fam.is_interior(arc, s):
-                raise AssertionError("two exterior boundary arcs cross at the same point")
-            if not earlier(pos, best[0]):
-                continue
-        if fam.is_interior(arc, s):
-            interiors.append((pos, arc))
-        else:
-            best = (pos, arc)
-            best_key = float(scan_keys[i])
-    if best is None:
+def _representative(table: BranchTable, m: int, direction: int) -> bool:
+    """Whether crossing the grid line m/q in this direction is a representative crossing."""
+    return 0 <= m < _grid(table) and (direction == +1 or (table.kind == "gamma0" and m == 0))
+
+
+def _walk(sp: SectionPoint, table: BranchTable, forward: bool):
+    """First non-representative side crossed after sp, towards x or back towards y.
+
+    Returns (side endpoints, representative lines crossed before it);
+    the side is None when the geodesic runs into a grid cusp first.
+    """
+    q = _grid(table)
+    j = sp.line * q
+    if j.denominator != 1 or not _representative(table, j.numerator, sp.direction):
+        raise ValueError(
+            f"line {sp.line} in direction {sp.direction:+d} is not a representative crossing"
+        )
+    t = sp.geodesic.forward if forward else sp.geodesic.backward
+    step = sp.direction if forward else -sp.direction
+    qt = t * Rational(q)
+    cell = floor_exact(qt)
+    on_grid = isinstance(qt, Rational) and qt.denominator == 1
+    # grid lines strictly between the start line and t, in scan order
+    last = cell + 1 if step < 0 else cell - on_grid
+    interiors = []
+    for m in range(j.numerator + step, last + step, step):
+        if not _representative(table, m, sp.direction):
+            return (Rational(m, q), INF), interiors
+        interiors.append(Rational(m, q))
+    if on_grid:
         return None, interiors
-    interiors = [(q, a) for (q, a) in interiors if earlier(q, best[0])]
-    interiors.sort(key=lambda t: (s if forward else -s) * t[0].to_float())
-    return best, interiors
+    return (Rational(cell, q), Rational(cell + 1, q)), interiors
 
 
-def _valid_label(
-    fam: _Family, geod: Geodesic, arc: _Arc
-) -> tuple[GroupElement, Fraction, int, BoundaryValue, BoundaryValue]:
-    """Pick the arc label whose renormalization lands on the representative family."""
-    for g, base in arc.labels:
+def _labels(table: BranchTable, ends: tuple[BoundaryValue, BoundaryValue]) -> list:
+    """Every (g, base) with g.(line base) the geodesic between ends.
+
+    For an end e in the cusp orbit of inf, the elements sending inf to e
+    are w^{-1} T^n with w(e) = inf; the other end o = w^{-1}(r) then
+    fixes n = floor(r) and base = r - n, which must lie on the grid.
+    There are at most two labels, one per end, and a geodesic crosses
+    them in opposite directions.  At most one of them is a representative
+    crossing: a leftward one must sit on the line 0, whose end 0 is not
+    in the cusp orbit of inf for Gamma_0(p), and the modular preset has
+    no leftward representative at all.
+    """
+    q = _grid(table)
+    out = []
+    for e, o in (ends, ends[::-1]):
+        if isinstance(e, Infinity):
+            w = identity()
+        else:
+            orbit, w = cusp_witness(table.p, e.fr)
+            if orbit != "inf":
+                continue
+        r = w.apply_boundary(o)
+        n = floor_exact(r)
+        base = Fraction(r.numerator - n * r.denominator, r.denominator)
+        if q % base.denominator == 0:
+            out.append((w.inv() * GroupElement(1, n, 0, 1), base))
+    return out
+
+
+def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord | None:
+    """The next (forward) or previous exterior crossing, identified and renormalized."""
+    geod = sp.geodesic
+    geod.field()  # validates exact single-field endpoints
+    side, interiors = _walk(sp, table, forward)
+    if side is None:
+        return None
+    x, y = geod.forward, geod.backward
+    u, v = side
+    pos = u if isinstance(v, Infinity) else (u * v - x * y) / ((u + v) - (x + y))
+    for g, base in _labels(table, side):
         ginv = g.inv()
-        xt = ginv.apply_boundary(geod.forward)
-        yt = ginv.apply_boundary(geod.backward)
-        if isinstance(xt, Infinity) or isinstance(yt, Infinity):
-            continue
-        b = Rational(base)
-        if compare(yt, b) == LESS and compare(b, xt) == LESS:
-            return g, base, +1, xt, yt
-        if (
-            fam.allow_leftward_zero
-            and base == 0
-            and compare(xt, b) == LESS
-            and compare(b, yt) == LESS
-        ):
-            return g, base, -1, xt, yt
-    raise IncreaseBoundError(
-        "crossing found but no enumerated label renormalizes to the representative family"
+        xt, yt = ginv.apply_boundary(x), ginv.apply_boundary(y)
+        direction = 1 if compare(yt, Rational(base)) == LESS else -1
+        if _representative(table, int(base * _grid(table)), direction):
+            break
+    else:
+        raise AssertionError("the crossed side has no representative label")
+    if forward:
+        letter = table.letter_for(g, base, direction)
+    else:
+        # a previous crossing sits on h_k^{-1} . (representative line of branch k);
+        # the renormalized pair is the previous point, so its branch names the letter
+        letter = next(
+            (
+                rec.label
+                for rec in table.branches
+                if rec.h == ginv
+                and rec.rep_line == base
+                and rec.rep_dir == direction
+                and rec.interval.contains(xt)
+            ),
+            None,
+        )
+
+    def at(c: BoundaryValue) -> CrossingPoint:
+        return CrossingPoint(c, (c - y) * (x - c))
+
+    return ReturnRecord(
+        letter=letter,
+        translate=g,
+        line=base,
+        direction=direction,
+        crossing=at(pos),
+        renormalized=SectionPoint(Geodesic(forward=xt, backward=yt), base, direction),
+        interior_first=bool(interiors),
+        interior_crossings=tuple(at(c) for c in interiors),
     )
 
 
-def first_return_geometric(
-    sp: SectionPoint, table: BranchTable, bound: int | None = None
-) -> ReturnRecord:
+# --- first return / previous exterior ----------------------------------------
+
+
+def first_return_geometric(sp: SectionPoint, table: BranchTable) -> ReturnRecord:
     """Next exterior crossing after sp, identified and renormalized.
 
-    Brute force over all translates with entries up to the bound; the
-    first crossing strictly after sp that is not a representative-family
-    crossing is returned, together with any representative (interior)
-    crossings that precede it.
+    The walk passes the representative (interior) crossings that precede
+    it; they are returned with the record.  sp must be a representative
+    crossing: a line j/q crossed left to right, or the line 0 crossed
+    right to left for Gamma_0(p).
     """
     if sp.geodesic.is_vertical():
         raise ValueError("first return needs a finite irrational forward endpoint")
     if isinstance(sp.geodesic.forward, Rational):
         raise ValueError("forward endpoint is a cusp point; no exterior return exists")
-    kind = table.kind
-    p = table.p
-    if bound is None:
-        bound = default_bound(p)
-    fam = _get_family(kind, p, bound)
-    best, interiors = _scan(fam, sp.geodesic, Rational(sp.line), forward=True)
-    if best is None:
-        raise IncreaseBoundError(f"no exterior crossing found at bound {bound}")
-    pos, arc = best
-    g, base, direction, xt, yt = _valid_label(fam, sp.geodesic, arc)
-    letter = table.letter_for(g, base, direction)
-    renorm = SectionPoint(Geodesic(forward=xt, backward=yt), base, direction)
-    return ReturnRecord(
-        letter=letter,
-        translate=g,
-        line=base,
-        direction=direction,
-        crossing=CrossingPoint(pos, _height2_at(sp.geodesic, pos)),
-        renormalized=renorm,
-        interior_first=bool(interiors),
-        interior_crossings=tuple(
-            CrossingPoint(q, _height2_at(sp.geodesic, q)) for q, _ in interiors
-        ),
-    )
+    return _search(sp, table, forward=True)
 
 
-def previous_exterior_geometric(
-    sp: SectionPoint, table: BranchTable, bound: int | None = None
-) -> ReturnRecord | None:
+def previous_exterior_geometric(sp: SectionPoint, table: BranchTable) -> ReturnRecord | None:
     """Previous exterior crossing before sp, or None when none exists.
 
-    Existence is decided by the exact endpoint criterion; the enumeration
-    then locates the crossing, and bound exhaustion raises instead of
-    silently returning None.
+    None means the backward endpoint is a grid cusp reached through
+    representative crossings only.
     """
     if sp.geodesic.is_vertical():
         raise ValueError("previous return needs finite endpoints")
-    kind = table.kind
-    p = table.p
-    if bound is None:
-        bound = default_bound(p)
-    exists = _previous_exists(kind, p, sp.geodesic)
-    fam = _get_family(kind, p, bound)
-    best, interiors = _scan(fam, sp.geodesic, Rational(sp.line), forward=False)
-    if best is None:
-        if exists:
-            raise IncreaseBoundError(f"no previous exterior found at bound {bound}")
-        return None
-    if not exists:
-        raise AssertionError("found a previous exterior crossing the criterion excludes")
-    pos, arc = best
-    g, base, direction, xt, yt = _valid_label(fam, sp.geodesic, arc)
-    # a previous crossing sits on h_k^{-1} . (representative line of branch k);
-    # the renormalized pair is the previous point, so its branch names the letter
-    letter = None
-    ginv = g.inv()
-    for rec in table.branches:
-        if (
-            rec.h == ginv
-            and rec.rep_line == base
-            and rec.rep_dir == direction
-            and rec.interval.contains(xt)
-        ):
-            letter = rec.label
-            break
-    renorm = SectionPoint(Geodesic(forward=xt, backward=yt), base, direction)
-    return ReturnRecord(
-        letter=letter,
-        translate=g,
-        line=base,
-        direction=direction,
-        crossing=CrossingPoint(pos, _height2_at(sp.geodesic, pos)),
-        renormalized=renorm,
-        interior_first=bool(interiors),
-        interior_crossings=tuple(
-            CrossingPoint(q, _height2_at(sp.geodesic, q)) for q, _ in interiors
-        ),
-    )
-
-
-def _previous_exists(kind: str, p: int | None, geod: Geodesic) -> bool:
-    x, y = geod.forward, geod.backward
-    if kind == "modular":
-        return not (isinstance(y, Rational) and y.fr in (Fraction(0), Fraction(-1)))
-    zero = Rational(0)
-    if compare(x, zero) == LESS:
-        return not (isinstance(y, Rational) and y.fr == Fraction(1, p))
-    singular = {Fraction(k, p) for k in range(-1, p - 1)}
-    return not (isinstance(y, Rational) and y.fr in singular)
+    return _search(sp, table, forward=False)
 
 
 # --- classification -----------------------------------------------------------
 
 
-def classify(geod: Geodesic, table: BranchTable, bound: int | None = None) -> dict:
+def classify(geod: Geodesic, table: BranchTable) -> dict:
     """Which intersections the geodesic has with the cross section.
 
-    intersects is False exactly when the geodesic coincides with a
-    boundary-family component (checked against the enumerated translates,
-    so rational-endpoint results carry bounded confidence); a geodesic
+    intersects is False exactly when the geodesic is a side of the
+    tessellation, i.e. a translate of a representative line; a geodesic
     with an irrational endpoint always intersects.
     """
-    kind = table.kind
-    p = table.p
-    if bound is None:
-        bound = default_bound(p)
 
     def infinitely_often(e: BoundaryValue) -> bool:
         return not (isinstance(e, Rational) or isinstance(e, Infinity))
 
     inf_future = infinitely_often(geod.forward)
     inf_past = infinitely_often(geod.backward)
-    if inf_future or inf_past:
-        return {
-            "intersects": True,
-            "inf_future": inf_future,
-            "inf_past": inf_past,
-            "confidence": "exact",
-        }
-    fam = _get_family(kind, p, bound)
-    key = _arc_key(geod.forward, geod.backward)
-    is_component = any(_arc_key(a.e1, a.e2) == key for a in fam.arcs)
+    is_side = not (inf_future or inf_past) and bool(_labels(table, (geod.forward, geod.backward)))
     return {
-        "intersects": not is_component,
-        "inf_future": False,
-        "inf_past": False,
-        "confidence": f"within-bound-{bound}",
+        "intersects": not is_side,
+        "inf_future": inf_future,
+        "inf_past": inf_past,
+        "confidence": "exact",
     }

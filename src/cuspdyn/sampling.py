@@ -82,9 +82,7 @@ def sample_section_pair(
     return x, y
 
 
-def conjugacy_check(
-    table: BranchTable, samples: int, seed: int, bound: int | None = None
-) -> dict:
+def conjugacy_check(table: BranchTable, samples: int, seed: int) -> dict:
     """Compare the geometric first-return oracle against the generating map.
 
     For each sampled pair the oracle letter, translate and exactly
@@ -98,7 +96,7 @@ def conjugacy_check(
         label = labels[i % len(labels)]
         x, y = sample_section_pair(table, rng, label=label)
         sp = canonical_section_point(table, x, y)
-        ret = first_return_geometric(sp, table, bound=bound)
+        ret = first_return_geometric(sp, table)
         x_dyn, letter_dyn = apply_F(table, x)
         rec = table.branch(letter_dyn)
         y_dyn = rec.h.inv().apply_boundary(y)
@@ -124,10 +122,9 @@ def conjugacy_check(
             )
     return {
         "schema": 1,
-        "table": table.kind if table.kind == "modular" else f"gamma0({table.p})",
+        "table": table.name,
         "samples": samples,
         "seed": seed,
-        "bound": bound,
         "matches": samples - len(mismatches),
         "interior_first_count": interior_skips,
         "mismatches": mismatches,

@@ -111,7 +111,7 @@ def test_criterion_3_conjugacy_500_samples():
     t0 = time.time()
     for p in (2, 3, 5):
         table = branch_table(p)
-        report = conjugacy_check(table, 500, seed=1234 + p, bound=50)
+        report = conjugacy_check(table, 500, seed=1234 + p)
         assert report["matches"] == 500, report["mismatches"][:3]
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"conjugacy run took {elapsed:.1f}s (limit 120s)"
@@ -156,7 +156,7 @@ def test_criterion_4_previous_exterior_rows():
             y = sample_surd_in(rng, yiv[0], yiv[1], d)
             x = sample_surd_in(rng, xiv[0], xiv[1], d)
             sp = canonical_section_point(table, x, y)
-            prev = previous_exterior_geometric(sp, table, bound=50)
+            prev = previous_exterior_geometric(sp, table)
             assert prev is not None, (row_i, x, y)
             assert prev.translate == g_exp, (row_i, prev.translate.key(), g_exp.key())
             assert prev.line == line_exp and prev.direction == dir_exp, row_i

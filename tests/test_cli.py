@@ -182,3 +182,18 @@ def test_domain_without_group_is_argument_error(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--previous",)])
+def test_return_approx_endpoints_are_argument_errors(capsys, extra):
+    code = main(["return", "--p", "5", "--x", "approx:0.3", "--y", "approx:-0.5", *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exact finite endpoints" in err
+
+
+@pytest.mark.parametrize("x", ["rat:-3/2", "rat:1/1", "inf"])
+def test_cf_needs_finite_x_above_one(capsys, x):
+    code = main(["cf", "--x", x])
+    assert code == 2
+    assert "cf needs a finite x > 1" in capsys.readouterr().err
