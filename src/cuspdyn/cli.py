@@ -23,18 +23,19 @@ def _dump(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _level(args) -> int | None:
-    """The --p level, or None for --modular; an argument error when neither is given."""
+def _level(args) -> int:
+    """The level: 1 for --modular, else the prime --p; an argument error when neither is given."""
     if args.modular:
-        return None
+        return 1
     if args.p is None:
         raise SystemExit2("one of --p or --modular is required")
+    tessellation._require_prime(args.p)
     return args.p
 
 
 def _table(args):
     p = _level(args)
-    return dynamics.modular_table() if p is None else dynamics.branch_table(p)
+    return dynamics.modular_table() if p == 1 else dynamics.branch_table(p)
 
 
 class SystemExit2(SystemExit):
@@ -43,14 +44,14 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _add_group_args(sp, need_group=True):
+def _add_group_args(sp):
     sp.add_argument("--p", type=int, default=None, help="prime level of the congruence group")
     sp.add_argument("--modular", action="store_true", help="use the modular-surface preset")
 
 
 def cmd_domain(args) -> int:
     p = _level(args)
-    dom = tessellation.modular_domain() if p is None else tessellation.build_domain(p)
+    dom = tessellation.modular_domain() if p == 1 else tessellation.build_domain(p)
     if args.svg:
         text = svg.render_domain_svg(dom, show=args.show)
         with open(args.svg, "w") as fh:
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit:
         raise
-    except (ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AssertionError as err:

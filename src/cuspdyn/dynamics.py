@@ -153,8 +153,9 @@ def _image_interval(h: GroupElement, iv: Interval) -> Interval:
 
 @dataclass(frozen=True)
 class BranchTable:
-    kind: str  # "modular" or "gamma0"
-    p: int | None
+    """Branches of the section map of Gamma_0(p); p = 1 is the modular preset."""
+
+    p: int
     branches: tuple[BranchRecord, ...]
     _by_label: dict = field(repr=False, default_factory=dict)
     _letter_lookup: dict = field(repr=False, default_factory=dict)
@@ -174,7 +175,7 @@ class BranchTable:
     @property
     def name(self) -> str:
         """The table as JSON output names it: modular or gamma0(p)."""
-        return "modular" if self.kind == "modular" else f"gamma0({self.p})"
+        return "modular" if self.p == 1 else f"gamma0({self.p})"
 
     @property
     def labels(self) -> list:
@@ -191,13 +192,11 @@ class BranchTable:
         if isinstance(x, Infinity):
             raise CuspPointError(x, "inf", None)
         if isinstance(x, Rational):
-            if self.kind == "gamma0":
-                orbit, witness = cusp_witness(self.p, x.fr)
-                raise CuspPointError(x, orbit, witness)
-            for rec in self.branches:
-                if rec.interval.contains(x):
-                    return rec
-            orbit, witness = cusp_witness(None, x.fr)
+            if self.p == 1:  # the slow map runs on rationals until a branch endpoint
+                for rec in self.branches:
+                    if rec.interval.contains(x):
+                        return rec
+            orbit, witness = cusp_witness(self.p, x.fr)
             raise CuspPointError(x, orbit, witness)
         if isinstance(x, Approx):
             return self._branch_of_approx(x)
@@ -288,7 +287,7 @@ def branch_table(p: int) -> BranchTable:
     add(p, frac(1), None, None, frac(1), GroupElement(1, 1, 0, 1),
         Fraction(0), +1, Fraction(p - 1, p), +1)
 
-    return BranchTable(kind="gamma0", p=p, branches=tuple(records))
+    return BranchTable(p=p, branches=tuple(records))
 
 
 def modular_table() -> BranchTable:
@@ -319,18 +318,18 @@ def modular_table() -> BranchTable:
             rep_dir=+1,
         ),
     )
-    return BranchTable(kind="modular", p=None, branches=records)
+    return BranchTable(p=1, branches=records)
 
 
-def cusp_witness(p: int | None, r: Fraction) -> tuple[str, GroupElement]:
+def cusp_witness(p: int, r: Fraction) -> tuple[str, GroupElement]:
     """Classify a rational in the cusp orbit and exhibit the witness element.
 
     For Gamma_0(p), r = num/den is in the orbit of inf iff p | den (the
     witness maps r to inf), otherwise in the orbit of 0 (the witness maps
-    r to 0).  For the modular group every rational maps to inf.
+    r to 0).  For the modular group, p = 1, every rational maps to inf.
     """
     num, den = r.numerator, r.denominator
-    if p is None or den % p == 0:
+    if den % p == 0:
         # witness g with g r = inf: pole at r, i.e. row (c d) = (-den, num)
         a, b = _bezout(num, den)
         g = GroupElement(a, b, -den, num)
@@ -400,10 +399,6 @@ class CodingSequence:
     origin: int = 0
     past_termination: Termination | None = None
     states: tuple | None = None
-
-    @property
-    def future_letters(self) -> tuple:
-        return self.letters[self.origin :]
 
     def to_json(self) -> dict:
         out = {
@@ -600,41 +595,22 @@ def accelerate_to_cf(seq: CodingSequence, max_digits: int = 64) -> CFDigits:
         return CFDigits(tuple(n for _, n in runs), complete=True)
 
     if term.kind == "periodic":
+        # letters spell the preperiod and one period; the digits repeat from
+        # the first position i of the period that starts a run both at i and
+        # one period later
         pre, per = term.preperiod, term.period
-        # stream positions of run starts detect the digit period exactly
-        digits: list[int] = []
-        run_keys: dict = {}
-        pre_digits = None
-        per_digits = None
-        pos = 0
-        run_start = 0
-        cur = letters[0]
-
-        def letter_at(i: int):
-            return letters[i] if i < pre else letters[pre + (i - pre) % per]
-
-        while len(digits) < max_digits + 2:
-            pos += 1
-            if letter_at(pos) != cur:
-                digits.append(pos - run_start)
-                if run_start >= pre:
-                    key = ((run_start - pre) % per, cur)
-                    if key in run_keys and pre_digits is None:
-                        first = run_keys[key]
-                        pre_digits = tuple(digits[:first])
-                        per_digits = tuple(digits[first : len(digits) - 1])
-                        break
-                    run_keys.setdefault(key, len(digits) - 1)
-                run_start = pos
-                cur = letter_at(pos)
-        if per_digits:
-            return CFDigits(
-                pre_digits + per_digits,
-                complete=False,
-                preperiod=pre_digits,
-                period=per_digits,
-            )
-        return CFDigits(tuple(digits[:max_digits]), complete=False)
+        stream = letters + letters[pre:]
+        i = next(
+            t
+            for t in range(pre, pre + per)
+            if (t == 0 or stream[t - 1] != stream[t]) and stream[t + per - 1] != stream[t + per]
+        )
+        pre_digits = tuple(n for _, n in _rle(letters[:i]))
+        per_digits = tuple(n for _, n in _rle(stream[i : i + per]))
+        digits = pre_digits + per_digits
+        if len(digits) > max_digits + 1:
+            return CFDigits(digits[: max(max_digits, 0)], complete=False)
+        return CFDigits(digits, complete=False, preperiod=pre_digits, period=per_digits)
 
     # step-cap or precision-exhausted: only complete runs are trustworthy
     runs = _rle(letters)

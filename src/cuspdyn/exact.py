@@ -80,12 +80,6 @@ class BoundaryValue:
     def __ge__(self, other):
         return compare(self, _coerce(other)) != LESS
 
-    def is_infinity(self) -> bool:
-        return isinstance(self, Infinity)
-
-    def is_rational(self) -> bool:
-        return isinstance(self, Rational)
-
     def is_exact(self) -> bool:
         return not isinstance(self, Approx)
 
@@ -211,9 +205,6 @@ class Surd(BoundaryValue):
 
     def to_float(self) -> float:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
-
-    def conjugate(self) -> "Surd":
-        return Surd(self.a, -self.b, self.c, self.d)
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -88,10 +88,6 @@ class Geodesic:
     def is_vertical(self) -> bool:
         return isinstance(self.forward, Infinity) or isinstance(self.backward, Infinity)
 
-    def travel(self) -> int:
-        """+1 if the real coordinate increases along the flow, else -1."""
-        return 1 if compare(self.backward, self.forward) == LESS else -1
-
     def center(self) -> BoundaryValue:
         """Euclidean center of the semicircle (finite endpoints only)."""
         if self.is_vertical():
@@ -234,13 +230,9 @@ def canonical_section_point(table: BranchTable, x: BoundaryValue, y: BoundaryVal
 # --- the cell walk -------------------------------------------------------------
 
 
-def _grid(table: BranchTable) -> int:
-    return 1 if table.kind == "modular" else table.p
-
-
 def _representative(table: BranchTable, m: int, direction: int) -> bool:
     """Whether crossing the grid line m/q in this direction is a representative crossing."""
-    return 0 <= m < _grid(table) and (direction == +1 or (table.kind == "gamma0" and m == 0))
+    return 0 <= m < table.p and (direction == +1 or (table.p > 1 and m == 0))
 
 
 def _walk(sp: SectionPoint, table: BranchTable, forward: bool):
@@ -249,7 +241,7 @@ def _walk(sp: SectionPoint, table: BranchTable, forward: bool):
     Returns (side endpoints, representative lines crossed before it);
     the side is None when the geodesic runs into a grid cusp first.
     """
-    q = _grid(table)
+    q = table.p
     j = sp.line * q
     if j.denominator != 1 or not _representative(table, j.numerator, sp.direction):
         raise ValueError(
@@ -284,7 +276,7 @@ def _labels(table: BranchTable, ends: tuple[BoundaryValue, BoundaryValue]) -> li
     in the cusp orbit of inf for Gamma_0(p), and the modular preset has
     no leftward representative at all.
     """
-    q = _grid(table)
+    q = table.p
     out = []
     for e, o in (ends, ends[::-1]):
         if isinstance(e, Infinity):
@@ -315,7 +307,7 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
         ginv = g.inv()
         xt, yt = ginv.apply_boundary(x), ginv.apply_boundary(y)
         direction = 1 if compare(yt, Rational(base)) == LESS else -1
-        if _representative(table, int(base * _grid(table)), direction):
+        if _representative(table, int(base * table.p), direction):
             break
     else:
         raise AssertionError("the crossed side has no representative label")

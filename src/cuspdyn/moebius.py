@@ -134,11 +134,6 @@ class HPoint:
     def __setattr__(self, *args):
         raise AttributeError("HPoint is immutable")
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "HPoint":
-        # binary floats convert exactly to Fractions, so no precision is lost
-        return cls(Fraction(z.real), Fraction(z.imag) ** 2)
-
     def to_complex(self) -> complex:
         return complex(float(self.x), float(self.y2) ** 0.5)
 
@@ -169,8 +164,11 @@ class IsometricSphere:
 
     def side(self, z: HPoint) -> int:
         """Sign of |cz+d|^2 - 1: -1 inside, 0 on the sphere, +1 outside."""
-        g = self.element
-        t = (g.c * z.x + g.d) ** 2 + g.c * g.c * z.y2 - 1
+        c, d = self.element.c, self.element.d
+        xn, xd = z.x.numerator, z.x.denominator
+        u = c * xn + d * xd
+        # |cz+d|^2 - 1 times the positive denominator xd^2 * yd, in integers
+        t = (u * u - xd * xd) * z.y2.denominator + c * c * z.y2.numerator * xd * xd
         return (t > 0) - (t < 0)
 
     def __repr__(self):

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from .dynamics import BranchTable, apply_F
-from .exact import BoundaryValue, Rational, Surd, normalize_surd
+from .exact import BoundaryValue, Rational, Surd, emit_value, normalize_surd
 from .flow_oracle import canonical_section_point, first_return_geometric
 
 __all__ = [
@@ -88,6 +88,8 @@ def conjugacy_check(table: BranchTable, samples: int, seed: int) -> dict:
     For each sampled pair the oracle letter, translate and exactly
     renormalized endpoints must coincide with the branch data of apply_F.
     """
+    if samples < 0:
+        raise ValueError(f"sample count must be >= 0, got {samples}")
     rng = random.Random(seed)
     labels = list(table.labels)
     mismatches = []
@@ -99,7 +101,7 @@ def conjugacy_check(table: BranchTable, samples: int, seed: int) -> dict:
         ret = first_return_geometric(sp, table)
         x_dyn, letter_dyn = apply_F(table, x)
         rec = table.branch(letter_dyn)
-        y_dyn = rec.h.inv().apply_boundary(y)
+        y_dyn = rec.apply(y)
         ok = (
             ret.letter == letter_dyn
             and ret.translate == rec.h
@@ -109,8 +111,6 @@ def conjugacy_check(table: BranchTable, samples: int, seed: int) -> dict:
         if ret.interior_first:
             interior_skips += 1
         if not ok:
-            from .exact import emit_value
-
             mismatches.append(
                 {
                     "index": i,

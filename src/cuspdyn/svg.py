@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .tessellation import FordDomain, cell
+from .tessellation import FordDomain
 
 __all__ = ["render_domain_svg"]
 
@@ -81,12 +81,8 @@ def render_domain_svg(
     )
     cv.line(x_min, 0.0, x_max, 0.0, "axis")
 
-    if dom.modular:
-        p = 1
-        walls = [Fraction(0), Fraction(1)]
-    else:
-        p = dom.p
-        walls = [Fraction(k, p) for k in range(p + 1)]
+    p = dom.p
+    walls = [Fraction(k, p) for k in range(p + 1)]
 
     for s in dom.spheres:
         cv.semicircle(float(s.center), float(s.radius), "sphere")
@@ -96,13 +92,10 @@ def render_domain_svg(
         for m in dom.maxima:
             cv.dot(float(m.x), float(m.y2) ** 0.5, "max")
     else:
-        for k in range(1 if dom.modular else p):
-            c = cell(p, k, modular=dom.modular)
-            cv.line(float(c.left), 0.0, float(c.left), y_clip, "side")
-            cv.line(float(c.right), 0.0, float(c.right), y_clip, "side")
-            center = float((c.left + c.right) / 2)
-            radius = float((c.right - c.left) / 2)
-            cv.semicircle(center, radius, "side")
+        for left, right in zip(walls, walls[1:]):  # the cells (k/p, (k+1)/p, inf)
+            cv.line(float(left), 0.0, float(left), y_clip, "side")
+            cv.line(float(right), 0.0, float(right), y_clip, "side")
+            cv.semicircle(float((left + right) / 2), float((right - left) / 2), "side")
     for v in dom.inner_vertices:
         cv.dot(float(v.x), float(v.y2) ** 0.5, "vertex")
     cv.parts.append("</svg>")

@@ -1,16 +1,20 @@
-"""Ford fundamental domain of Gamma_0(p) and its precell/cell combinatorics.
+"""Ford fundamental domain of Gamma_0(q) and its precell/cell combinatorics.
 
-The fundamental domain is the strip 0 < Re z < 1 above the p-1 isometric
-spheres |pz - q| = 1.  Precells are its vertical slices between the wall
-lines k/p; cells are ideal triangles (k/p, (k+1)/p, inf) assembled from
-group translates of precells.  Everything here is exact: vertices carry
-rational x and rational squared height, and cell-side identities are
-verified by endpoint equality, not numerically.
+The level q is a prime p, or 1 for the modular preset PSL(2,Z) =
+Gamma_0(1).  The fundamental domain is the strip 0 < Re z < 1 above the
+isometric spheres |qz - k| = 1, 0 <= k <= q with gcd(k, q) = 1.
+Precells are its vertical slices between the wall lines k/q; cells are
+ideal triangles (k/q, (k+1)/q, inf) assembled from group translates of
+precells.  Everything here is exact: vertices carry rational x and
+rational squared height, and cell-side identities are verified by
+endpoint equality, not numerically.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,30 +46,28 @@ def g_pair(p: int, k: int) -> GroupElement:
     _require_prime(p)
     if not 1 <= k <= p - 1:
         raise ValueError(f"sphere index k = {k} out of range 1..{p - 1}")
-    l = (-pow(k, -1, p)) % p
-    return GroupElement(l, -(1 + k * l) // p, p, -k)
+    return _domain(p).spheres[k - 1].element
 
 
 @dataclass(frozen=True)
 class FordDomain:
-    """Ford domain data for Gamma_0(p): spheres, vertices and sphere maxima."""
+    """Ford domain data for Gamma_0(p), p = 1 being PSL(2,Z): spheres, vertices, maxima."""
 
     p: int
     spheres: tuple[IsometricSphere, ...]
-    # vertices: v_0 = 0 and v_{p-1} = 1 are boundary points (y2 = 0 is not an
+    # vertices: v_0 = 0 and v_last = 1 are boundary points (y2 = 0 is not an
     # HPoint, so they are stored as rationals); inner vertices are HPoints.
     vertex_0: Fraction
     vertex_last: Fraction
     inner_vertices: tuple[HPoint, ...]
     maxima: tuple[HPoint, ...]
-    modular: bool = False
+
+    @property
+    def modular(self) -> bool:
+        return self.p == 1
 
     def in_closure(self, z: HPoint) -> bool:
         """Exact membership of z in the closed fundamental domain."""
-        if self.modular:
-            if not (0 <= z.x <= 1):
-                return False
-            return (z.x**2 + z.y2 >= 1) and ((z.x - 1) ** 2 + z.y2 >= 1)
         if not (0 <= z.x <= 1):
             return False
         return all(s.side(z) >= 0 for s in self.spheres)
@@ -74,26 +76,32 @@ class FordDomain:
         """Indices k with z in the closed precell A(v_k); empty if outside."""
         if not self.in_closure(z):
             return []
-        if self.modular:
-            return [0]
         p = self.p
-        out = []
-        for k in range(p):
-            if Fraction(k, p) <= z.x <= Fraction(k + 1, p):
-                out.append(k)
-        return out
+        return [k for k in range(p) if Fraction(k, p) <= z.x <= Fraction(k + 1, p)]
 
 
-def build_domain(p: int) -> FordDomain:
-    _require_prime(p)
-    spheres = tuple(IsometricSphere(g_pair(p, q)) for q in range(1, p))
+@functools.cache
+def _domain(q: int) -> FordDomain:
+    """The Ford domain of level q, built once per level.
+
+    Sphere k has the element (l, -(1+kl)/q; q, -k) with l = -k^-1 mod q;
+    adjacent spheres k, k+1 meet at ((2k+1)/2q, 3/4q^2), and the tops of
+    the spheres strictly inside the strip are the maxima.
+    """
+    ks = [k for k in range(q + 1) if math.gcd(k, q) == 1]
+    spheres = []
+    for k in ks:
+        l = (-pow(k, -1, q)) % q
+        spheres.append(IsometricSphere(GroupElement(l, -(1 + k * l) // q, q, -k)))
     inner = tuple(
-        HPoint(Fraction(2 * k + 1, 2 * p), Fraction(3, 4 * p * p)) for k in range(1, p - 1)
+        HPoint(Fraction(2 * k + 1, 2 * q), Fraction(3, 4 * q * q))
+        for k, k1 in zip(ks, ks[1:])
+        if k1 == k + 1
     )
-    maxima = tuple(HPoint(Fraction(q, p), Fraction(1, p * p)) for q in range(1, p))
+    maxima = tuple(HPoint(Fraction(k, q), Fraction(1, q * q)) for k in ks if 0 < k < q)
     return FordDomain(
-        p=p,
-        spheres=spheres,
+        p=q,
+        spheres=tuple(spheres),
         vertex_0=Fraction(0),
         vertex_last=Fraction(1),
         inner_vertices=inner,
@@ -101,20 +109,22 @@ def build_domain(p: int) -> FordDomain:
     )
 
 
+def _level(p: int, modular: bool) -> int:
+    """The level q of the group: 1 for the modular preset, else the prime p."""
+    if modular:
+        return 1
+    _require_prime(p)
+    return p
+
+
+def build_domain(p: int) -> FordDomain:
+    _require_prime(p)
+    return _domain(p)
+
+
 def modular_domain() -> FordDomain:
-    """PSL(2,Z) preset: one precell (the closed domain), one cell (0,1,inf)."""
-    s1 = IsometricSphere(GroupElement(0, -1, 1, 0))        # |z| = 1
-    s2 = IsometricSphere(GroupElement(1, -1, 1, 0))        # |z-1| = 1
-    vertex = HPoint(Fraction(1, 2), Fraction(3, 4))
-    return FordDomain(
-        p=1,
-        spheres=(s1, s2),
-        vertex_0=Fraction(0),
-        vertex_last=Fraction(1),
-        inner_vertices=(vertex,),
-        maxima=(),
-        modular=True,
-    )
+    """PSL(2,Z) preset, level 1: spheres |z| = 1 and |z - 1| = 1, one precell."""
+    return _domain(1)
 
 
 @dataclass(frozen=True)
@@ -143,22 +153,20 @@ class Cell:
 
 
 def cell(p: int, k: int, modular: bool = False) -> Cell:
-    if modular:
-        if k != 0:
-            raise ValueError("the modular preset has a single cell, index 0")
-        return Cell(1, 0, Fraction(0), Fraction(1), ((identity(), 0),))
-    _require_prime(p)
-    if not 0 <= k <= p - 1:
-        raise ValueError(f"cell index k = {k} out of range 0..{p - 1}")
-    if k == 0:
-        decomp = ((identity(), 0), (g_pair(p, p - 1), p - 1))
-    elif k == p - 1:
-        decomp = ((identity(), p - 1), (g_pair(p, 1), 0))
+    q = _level(p, modular)
+    if not 0 <= k <= q - 1:
+        raise ValueError(f"cell index k = {k} out of range 0..{q - 1}")
+    if q == 1:  # the single precell of PSL(2,Z)
+        decomp = ((identity(), 0),)
+    elif k == 0:
+        decomp = ((identity(), 0), (g_pair(q, q - 1), q - 1))
+    elif k == q - 1:
+        decomp = ((identity(), q - 1), (g_pair(q, 1), 0))
     else:
-        a = (-pow(k + 1, -1, p)) % p
-        b = (-pow(k, -1, p) - 1) % p
-        decomp = ((identity(), k), (g_pair(p, a), a), (g_pair(p, b + 1), b))
-    return Cell(p, k, Fraction(k, p), Fraction(k + 1, p), decomp)
+        a = (-pow(k + 1, -1, q)) % q
+        b = (-pow(k, -1, q) - 1) % q
+        decomp = ((identity(), k), (g_pair(q, a), a), (g_pair(q, b + 1), b))
+    return Cell(q, k, Fraction(k, q), Fraction(k + 1, q), decomp)
 
 
 def reduce_point(p: int, z: HPoint, modular: bool = False) -> tuple[GroupElement, HPoint]:
@@ -177,43 +185,17 @@ def reduce_point_detailed(
     p: int, z: HPoint, modular: bool = False
 ) -> tuple[GroupElement, HPoint, int]:
     """reduce_point plus the number of sphere/translation rounds used."""
-    if modular:
-        return _reduce_modular(z)
-    _require_prime(p)
+    spheres = _domain(_level(p, modular)).spheres
     g = identity()
     for step in range(_MAX_REDUCE_STEPS):
         n = z.x.numerator // z.x.denominator  # floor
         if n != 0:
             t = GroupElement(1, -n, 0, 1)
             g, z = t * g, t.apply_hpoint(z)
-        q_inside = None
-        for q in range(1, p):
-            if (p * z.x - q) ** 2 + p * p * z.y2 < 1:
-                q_inside = q
-                break
-        if q_inside is None:
+        inside = next((s.element for s in spheres if s.side(z) < 0), None)
+        if inside is None:
             return g, z, step + 1
-        s = g_pair(p, q_inside)
-        g, z = s * g, s.apply_hpoint(z)
-    raise ArithmeticError("reduction did not terminate; arithmetic precision failure?")
-
-
-def _reduce_modular(z: HPoint) -> tuple[GroupElement, HPoint, int]:
-    inv = GroupElement(0, -1, 1, 0)
-    shift = GroupElement(1, -1, 0, 1)
-    g = identity()
-    for step in range(_MAX_REDUCE_STEPS):
-        n = z.x.numerator // z.x.denominator
-        if n != 0:
-            t = GroupElement(1, -n, 0, 1)
-            g, z = t * g, t.apply_hpoint(z)
-        if z.x**2 + z.y2 < 1:
-            g, z = inv * g, inv.apply_hpoint(z)
-        elif (z.x - 1) ** 2 + z.y2 < 1:
-            s = shift.inv() * inv * shift  # inversion in |z-1| = 1
-            g, z = s * g, s.apply_hpoint(z)
-        else:
-            return g, z, step + 1
+        g, z = inside * g, inside.apply_hpoint(z)
     raise ArithmeticError("reduction did not terminate; arithmetic precision failure?")
 
 
@@ -226,22 +208,16 @@ def locate_cell(
     case either adjacent cell may be reported.
     """
     g_red, w = reduce_point(p, z, modular=modular)
-    dom = modular_domain() if modular else build_domain(p)
+    dom = _domain(_level(p, modular))
     ks = dom.precell_indices(w)
     if not ks:
         raise AssertionError("reduced point escaped the closed domain")
     k = ks[0]
     # on a wall shared by two precells, on a side wall Re = 0 or 1, or on a sphere arc
-    boundary = len(ks) > 1 or w.x == 0 or w.x == 1
-    if not boundary and modular:
-        boundary = w.x**2 + w.y2 == 1 or (w.x - 1) ** 2 + w.y2 == 1
-    elif not boundary:
-        boundary = any(s.side(w) == 0 for s in dom.spheres)
-    g = g_red.inv()
-    c = cell(p, k, modular=modular)
-    if not c.contains(w):
+    boundary = len(ks) > 1 or w.x == 0 or w.x == 1 or any(s.side(w) == 0 for s in dom.spheres)
+    if not cell(p, k, modular=modular).contains(w):
         raise AssertionError("precell slice fell outside its cell triangle")
-    return g, k, boundary
+    return g_red.inv(), k, boundary
 
 
 def domain_to_json(dom: FordDomain) -> dict:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import Approx, BoundaryValue, Infinity, Rational, compare
+from .exact import BoundaryValue, Infinity, Rational, compare
 from .dynamics import BranchRecord, BranchTable, Interval
 
 __all__ = [
@@ -129,7 +129,6 @@ def apply_transfer(table: BranchTable, beta, phi, x):
         raise ValueError("transfer operator is evaluated on the real line only")
     exact_mode = (
         xv.is_exact()
-        and not isinstance(xv, Approx)
         and isinstance(beta, int)
         and beta >= 0
         and phi.exact_rule is not None
@@ -343,13 +342,13 @@ class CollocationOperator:
         """(L_beta phi) evaluated at all nodes, through the matrix."""
         return self.m_to_phi(self.matrix @ self.phi_to_m(phi))
 
-    def apply_m(self, m: np.ndarray) -> np.ndarray:
-        return self.matrix @ m
-
     def eigenvalues(self, k: int | None = None) -> list[complex]:
+        """The k eigenvalues of largest modulus (all when k is None)."""
+        if k is not None and k < 0:
+            raise ValueError(f"eigenvalue count must be >= 0, got {k}")
         vals = np.linalg.eigvals(self.matrix)
         vals = sorted(vals, key=lambda z: (-abs(z), -z.real, -z.imag))
-        return vals[: k if k is not None else len(vals)]
+        return vals[:k]
 
     def power_iteration(self, iters: int = 200, seed: int = 0) -> tuple[complex, np.ndarray]:
         rng = np.random.default_rng(seed)

@@ -197,3 +197,34 @@ def test_cf_needs_finite_x_above_one(capsys, x):
     code = main(["cf", "--x", x])
     assert code == 2
     assert "cf needs a finite x > 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("domain", "--p", "2", "--svg", "/nonexistent/x.svg"),
+        ("spectrum", "--modular", "--nodes", "4", "--top", "-1"),
+        ("conjugacy-check", "--p", "5", "--samples", "-1"),
+    ],
+)
+def test_bad_counts_and_paths_are_argument_errors(capsys, argv):
+    code = main(list(argv))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_modular_domain_second_sphere(tmp_path, capsys):
+    # the modular preset is level 1: spheres |z| = 1 and |z - 1| = 1
+    svg_path = tmp_path / "modular.svg"
+    code, out = run_cli(capsys, "domain", "--modular", "--svg", str(svg_path))
+    assert code == 0
+    spheres = json.loads(out)["spheres"]
+    assert [(s["center"], s["radius"], s["element"]) for s in spheres] == [
+        ("rat:0/1", "rat:1/1", "[[0,-1],[1,0]]"),
+        ("rat:1/1", "rat:1/1", "[[0,-1],[1,-1]]"),
+    ]
+    text = svg_path.read_text()
+    assert text.count('class="sphere"') == 2
+    assert 'd="M 200.000000 1200.000000 A 1000.000000 1000.000000 0 0 1 2200.000000' in text

@@ -239,9 +239,9 @@ def test_classify_exact_beyond_small_entries():
 
 
 def _rep_starts(table):
-    q = 1 if table.p is None else table.p
+    q = table.p
     starts = [(Fraction(j, q), +1) for j in range(q)]
-    return starts + ([(Fraction(0), -1)] if table.kind == "gamma0" else [])
+    return starts + ([(Fraction(0), -1)] if table.p > 1 else [])
 
 
 def _section_points(table, x, y):
@@ -258,7 +258,7 @@ def test_previous_none_exactly_at_singular_cusps():
     pos, neg = normalize_surd(0, 1, 1, 2), normalize_surd(0, -1, 1, 2)
     for table in (modular_table(), branch_table(2), branch_table(5), branch_table(13)):
         p = table.p
-        if p is None:
+        if p == 1:
             cases = [(pos, [Fraction(0), Fraction(-1)])]
         else:
             cases = [(pos, [Fraction(k, p) for k in range(-1, p - 1)]), (neg, [Fraction(1, p)])]
@@ -270,7 +270,7 @@ def test_previous_none_exactly_at_singular_cusps():
                     checked += 1
         assert checked >= len(cases)
         # one grid step further out the previous crossing is the line beyond
-        q = 1 if p is None else p
+        q = p
         for x, y, line in ((pos, Fraction(-2, q), Fraction(-1, q)), (neg, Fraction(2, q), Fraction(1, q))):
             for sp in _section_points(table, x, Rational(y)):
                 rec = previous_exterior_geometric(sp, table)
@@ -309,7 +309,7 @@ _BRUTE_BOUND = 13
 
 def _brute_sides(table):
     """Endpoint pairs of g.(line j/q) for g in the group with entries <= _BRUTE_BOUND."""
-    q = 1 if table.p is None else table.p
+    q = table.p
     n = _BRUTE_BOUND
     sides = set()
     for a, b, c, d in itertools.product(range(-n, n + 1), range(-n, n + 1), range(0, n + 1, q), range(-n, n + 1)):
@@ -322,7 +322,7 @@ def _brute_sides(table):
 
 def _brute_scan(table, sides, sp, forward):
     """(exterior side, exterior position, interior positions) after sp, by brute force."""
-    q = 1 if table.p is None else table.p
+    q = table.p
     x, y = sp.geodesic.forward, sp.geodesic.backward
     lo, hi = (y, x) if sp.direction == +1 else (x, y)
     ahead = 1 if forward == (sp.direction == +1) else -1  # scan direction along Re
@@ -352,7 +352,7 @@ def _brute_scan(table, sides, sp, forward):
             vertical
             and m.denominator == 1
             and 0 <= m.numerator < q
-            and (sp.direction == +1 or (table.kind == "gamma0" and m.numerator == 0))
+            and (sp.direction == +1 or (table.p > 1 and m.numerator == 0))
         ):
             interiors.append(pos)
         else:

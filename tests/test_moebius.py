@@ -107,6 +107,24 @@ def test_sphere_maps_to_inverse_sphere():
             assert sginv.side(g.apply_hpoint(z)) == 0
 
 
+@given(
+    c=st.integers(1, 40),
+    d=st.integers(-40, 40),
+    x=st.fractions(min_value=-50, max_value=50, max_denominator=10**4),
+    y2=st.fractions(min_value=Fraction(1, 10**4), max_value=50, max_denominator=10**4),
+)
+@settings(max_examples=400, deadline=None)
+def test_sphere_side_matches_fraction_reference(c, d, x, y2):
+    if math.gcd(c, d) != 1:
+        return
+    a = pow(d, -1, c) if c > 1 else 0
+    s = IsometricSphere(GroupElement(a, (a * d - 1) // c, c, d))
+    t = (c * x + d) ** 2 + c * c * y2 - 1
+    assert s.side(HPoint(x, y2)) == (t > 0) - (t < 0)
+    if abs(c * x + d) < 1:  # the point of the sphere above x
+        assert s.side(HPoint(x, (1 - (c * x + d) ** 2) / (c * c))) == 0
+
+
 def test_apply_hpoint_exact():
     g = GroupElement(2, -1, 5, -2)
     z = HPoint(Fraction(1, 2), Fraction(1, 100))  # 0.5 + 0.1i

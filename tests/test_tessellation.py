@@ -17,6 +17,7 @@ from cuspdyn.tessellation import (
     modular_domain,
     parse_matrix,
     reduce_point,
+    reduce_point_detailed,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -249,6 +250,53 @@ def test_modular_domain_and_reduction():
     assert k2 == 0
     c = cell(1, 0, modular=True)
     assert c.contains(g2.inv().apply_hpoint(HPoint(Fraction(7, 2), Fraction(1, 9))))
+
+
+def test_modular_domain_is_level_one():
+    dom = modular_domain()
+    assert dom.p == 1 and dom.modular
+    assert [s.center for s in dom.spheres] == [Fraction(0), Fraction(1)]
+    assert all(s.radius == 1 for s in dom.spheres)
+    assert [s.element.key() for s in dom.spheres] == [(0, -1, 1, 0), (0, -1, 1, -1)]
+    assert dom.maxima == ()
+    assert not build_domain(5).modular
+    # on |z - 1| = 1 only, and strictly inside |z - 1| < 1
+    assert dom.in_closure(HPoint(Fraction(3, 5), Fraction(21, 25)))
+    assert not dom.in_closure(HPoint(Fraction(3, 5), Fraction(20, 25)))
+    spheres = domain_to_json(dom)["spheres"]
+    assert spheres[1]["center"] == "rat:1/1" and spheres[1]["element"] == "[[0,-1],[1,-1]]"
+
+
+_W = HPoint(Fraction(3, 5), Fraction(21, 25))  # on |z - 1| = 1
+
+# (z, (g, w, rounds) of reduce_point_detailed, (g, k, boundary) of locate_cell)
+_MODULAR_PINS = [
+    (HPoint(Fraction(1, 2), Fraction(1, 16)),
+     ((1, -1, 2, -1), HPoint(Fraction(1, 2), 1), 3), ((1, -1, 2, -1), 0, False)),
+    (HPoint(Fraction(7, 2), Fraction(1, 9)),  # reduces onto |z - 1| = 1
+     ((2, -7, 1, -3), HPoint(Fraction(8, 13), Fraction(144, 169)), 2), ((3, -7, 1, -2), 0, True)),
+    (HPoint(Fraction(18, 5), Fraction(21, 25)),
+     ((1, -3, 0, 1), _W, 1), ((1, 3, 0, 1), 0, True)),
+    (GroupElement(2, 1, 1, 1).inv().apply_hpoint(_W),
+     ((2, 1, 1, 1), _W, 2), ((-1, 1, 1, -2), 0, True)),
+    (HPoint(0, Fraction(1, 4)),  # on x = 0
+     ((0, -1, 1, 0), HPoint(0, 4), 2), ((0, -1, 1, 0), 0, True)),
+    (HPoint(-3, 4),
+     ((1, 3, 0, 1), HPoint(0, 4), 1), ((1, -3, 0, 1), 0, True)),
+    (HPoint(Fraction(-13, 7), Fraction(1, 50)),
+     ((4, 7, 1, 2), HPoint(Fraction(46, 99), Fraction(120050, 9801)), 2),
+     ((-2, 7, 1, -4), 0, False)),
+    (HPoint(Fraction(9, 10), Fraction(1, 100)),
+     ((-5, 4, 1, -1), HPoint(0, 25), 7), ((1, 4, 1, 5), 0, True)),
+]
+
+
+@pytest.mark.parametrize("z, reduced, located", _MODULAR_PINS)
+def test_modular_reduction_pinned(z, reduced, located):
+    g, w, rounds = reduce_point_detailed(1, z, modular=True)
+    assert (g.key(), w, rounds) == reduced
+    gc, k, boundary = locate_cell(1, z, modular=True)
+    assert (gc.key(), k, boundary) == located
 
 
 def test_domain_json_and_matrix_grammar():
