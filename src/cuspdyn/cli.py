@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,7 +21,22 @@ _DEFAULT_APPROX_ERR = float(os.environ.get("CUSPDYN_APPROX_ERR", "1e-12"))
 
 
 def _dump(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _count(args, name: str) -> int:
+    """A count argument, which must not be negative."""
+    n = getattr(args, name)
+    if n < 0:
+        raise ValueError(f"--{name} must be >= 0, got {n}")
+    return n
+
+
+def _beta(args) -> float:
+    """--beta, which must be finite."""
+    if not math.isfinite(args.beta):
+        raise ValueError(f"--beta must be finite, got {args.beta}")
+    return args.beta
 
 
 def _level(args) -> int:
@@ -67,10 +83,11 @@ def cmd_branches(args) -> int:
 
 def cmd_code(args) -> int:
     table = _table(args)
+    past = _count(args, "past")
     x = parse_value(args.x, _DEFAULT_APPROX_ERR)
     if args.y is not None:
         y = parse_value(args.y, _DEFAULT_APPROX_ERR)
-        seq = dynamics.code_two_sided(table, x, y, args.steps, args.past)
+        seq = dynamics.code_two_sided(table, x, y, args.steps, past)
     else:
         seq = dynamics.code_future(table, x, args.steps, keep_states=args.trace)
     _dump(seq.to_json())
@@ -79,6 +96,7 @@ def cmd_code(args) -> int:
 
 def cmd_cf(args) -> int:
     table = dynamics.modular_table()
+    _count(args, "digits")
     x = parse_value(args.x, _DEFAULT_APPROX_ERR)
     if isinstance(x, Infinity) or compare(x, Rational(1)) != GREATER:
         raise ValueError(f"cf needs a finite x > 1, got {emit_value(x)}")
@@ -125,11 +143,8 @@ def cmd_transfer(args) -> int:
     table = _table(args)
     phi = _parse_phi(args.phi)
     x = parse_value(args.x, _DEFAULT_APPROX_ERR)
-    beta = args.beta
-    try:
-        exact_beta = int(beta) if float(beta).is_integer() and float(beta) >= 0 else None
-    except OverflowError:
-        exact_beta = None
+    beta = _beta(args)
+    exact_beta = int(beta) if beta.is_integer() and beta >= 0 else None
     use_beta = exact_beta if (exact_beta is not None and x.is_exact() and phi.exact_rule) else beta
     value = transfer.apply_transfer(table, use_beta, phi, x)
     out = {"schema": 1, "beta": beta, "phi": args.phi, "x": emit_value(x)}
@@ -144,7 +159,7 @@ def cmd_transfer(args) -> int:
 
 def cmd_spectrum(args) -> int:
     table = _table(args)
-    op = transfer.collocation_matrix(table, args.beta, args.nodes)
+    op = transfer.collocation_matrix(table, _beta(args), args.nodes)
     vals = op.eigenvalues(args.top)
     _dump(
         {
@@ -239,7 +254,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit:
         raise
-    except (ValueError, ZeroDivisionError, OSError) as err:
+    except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AssertionError as err:

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 from .exact import (
     EQUAL,
+    GREATER,
     INF,
+    LESS,
     Approx,
     BoundaryValue,
     Infinity,
@@ -24,7 +26,7 @@ from .exact import (
     emit_value,
 )
 from .moebius import GroupElement
-from .tessellation import _require_prime, g_pair
+from .tessellation import _domain, _require_prime, group_name
 
 __all__ = [
     "NEG_INF_LABEL",
@@ -84,12 +86,6 @@ class Interval:
             return False
         return True
 
-    def is_endpoint(self, x: BoundaryValue) -> bool:
-        for e in (self.lo, self.hi):
-            if e is not None and compare(x, e) == EQUAL:
-                return True
-        return False
-
     def to_json(self) -> dict:
         return {
             "lo": None if self.lo is None else emit_value(self.lo),
@@ -140,30 +136,59 @@ def label_to_json(label) -> str | int:
     return "-inf" if label == NEG_INF_LABEL else int(label)
 
 
-def _image_interval(h: GroupElement, iv: Interval) -> Interval:
-    """Image of the open interval under h^{-1} (monotone increasing branch)."""
+def _record(label, lo, hi, y_lo, y_hi, h, target_line, target_dir, rep_line, rep_dir) -> BranchRecord:
+    """The record of a branch whose image is that of (lo, hi) under h^{-1} (monotone increasing)."""
     hinv = h.inv()
-    lo = hinv.apply_boundary(iv.lo if iv.lo is not None else INF)
-    hi = hinv.apply_boundary(iv.hi if iv.hi is not None else INF)
-    return Interval(
-        None if isinstance(lo, Infinity) else lo,
-        None if isinstance(hi, Infinity) else hi,
+    ends = [hinv.apply_boundary(INF if e is None else e) for e in (lo, hi)]
+    return BranchRecord(
+        label=label,
+        interval=Interval(lo, hi),
+        y_interval=Interval(y_lo, y_hi),
+        h=h,
+        image=Interval(*(None if isinstance(e, Infinity) else e for e in ends)),
+        target_line=Fraction(target_line),
+        target_dir=target_dir,
+        rep_line=Fraction(rep_line),
+        rep_dir=rep_dir,
     )
 
 
 @dataclass(frozen=True)
 class BranchTable:
-    """Branches of the section map of Gamma_0(p); p = 1 is the modular preset."""
+    """Branches of the section map of Gamma_0(p); p = 1 is the modular preset.
+
+    The consecutive branch intervals partition the line at their finite
+    ends, the cuts, sorted.  Position 2i is the gap just below cuts[i] and
+    2i + 1 is cuts[i]; _at holds the branch index at each position (None
+    on the cuts and in empty gaps), _images the positions of the ends of
+    each branch image (-1 and len(_at) when unbounded).
+    """
 
     p: int
     branches: tuple[BranchRecord, ...]
     _by_label: dict = field(repr=False, default_factory=dict)
     _letter_lookup: dict = field(repr=False, default_factory=dict)
+    _cuts: tuple = field(init=False, repr=False, compare=False)
+    _at: tuple = field(init=False, repr=False, compare=False)
+    _images: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for rec in self.branches:
             self._by_label[rec.label] = rec
             self._letter_lookup[(rec.h.key(), rec.target_line, rec.target_dir)] = rec.label
+        ivs = [rec.interval for rec in self.branches]
+        if any(a.hi is None or b.lo is None or compare(a.hi, b.lo) != EQUAL for a, b in zip(ivs, ivs[1:])):
+            raise ValueError("branch intervals must be consecutive")
+        below = [ivs[0].lo] if ivs[0].lo is not None else []
+        above = [ivs[-1].hi] if ivs[-1].hi is not None else []
+        cuts = below + [iv.hi for iv in ivs[:-1]] + above
+        at = [None] * (2 * len(cuts) + 1)
+        at[::2] = [None] * len(below) + list(range(len(ivs))) + [None] * len(above)
+        object.__setattr__(self, "_cuts", tuple(cuts))
+        object.__setattr__(self, "_at", tuple(at))
+        end = lambda e, unbounded: unbounded if e is None else self._locate(e)[0]
+        images = tuple((end(r.image.lo, -1), end(r.image.hi, len(at))) for r in self.branches)
+        object.__setattr__(self, "_images", images)
 
     def branch(self, label) -> BranchRecord:
         return self._by_label[label]
@@ -175,11 +200,38 @@ class BranchTable:
     @property
     def name(self) -> str:
         """The table as JSON output names it: modular or gamma0(p)."""
-        return "modular" if self.p == 1 else f"gamma0({self.p})"
+        return group_name(self.p)
 
     @property
     def labels(self) -> list:
         return [rec.label for rec in self.branches]
+
+    def _locate(self, x: BoundaryValue) -> tuple[int, int]:
+        """First and last position of a finite x, by bisection over the cuts.
+
+        They differ only for an Approx within its error of several cuts.
+        """
+        cuts, lo, hi = self._cuts, 0, len(self._cuts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            c = compare(x, cuts[mid])
+            if c == LESS:
+                hi = mid
+            elif c == GREATER:
+                lo = mid + 1
+            else:
+                first = last = mid
+                while first > 0 and compare(x, cuts[first - 1]) == EQUAL:
+                    first -= 1
+                while last + 1 < len(cuts) and compare(x, cuts[last + 1]) == EQUAL:
+                    last += 1
+                return 2 * first + 1, 2 * last + 1
+        return 2 * lo, 2 * lo
+
+    def branch_at(self, x: BoundaryValue) -> BranchRecord | None:
+        """The branch whose open interval contains x, or None."""
+        k = None if isinstance(x, Infinity) else self._at[self._locate(x)[0]]
+        return None if k is None else self.branches[k]
 
     def branch_of(self, x: BoundaryValue) -> BranchRecord:
         """The unique branch whose open interval contains x.
@@ -191,55 +243,50 @@ class BranchTable:
         """
         if isinstance(x, Infinity):
             raise CuspPointError(x, "inf", None)
-        if isinstance(x, Rational):
-            if self.p == 1:  # the slow map runs on rationals until a branch endpoint
-                for rec in self.branches:
-                    if rec.interval.contains(x):
-                        return rec
-            orbit, witness = cusp_witness(self.p, x.fr)
-            raise CuspPointError(x, orbit, witness)
-        if isinstance(x, Approx):
-            return self._branch_of_approx(x)
-        for rec in self.branches:
-            if rec.interval.contains(x):
-                return rec
-        raise OutsideDomainError(f"{emit_value(x)} is outside the table domain")
-
-    def _branch_of_approx(self, x: Approx) -> BranchRecord:
-        for rec in self.branches:
-            for e in (rec.interval.lo, rec.interval.hi):
-                if e is not None and abs(e.to_float() - x.value) <= x.err:
-                    raise PrecisionExhausted(
-                        f"approx value {x.value!r} within error {x.err!r} of endpoint "
-                        f"{emit_value(e)}"
-                    )
-            if rec.interval.contains(x):
-                return rec
+        if isinstance(x, Rational) and self.p > 1:
+            raise CuspPointError(x, *cusp_witness(self.p, x.fr))
+        pos = self._locate(x)[0]
+        if self._at[pos] is not None:
+            return self.branches[self._at[pos]]
+        if isinstance(x, Rational):  # the slow map runs on rationals until a branch endpoint
+            raise CuspPointError(x, *cusp_witness(self.p, x.fr))
+        if not isinstance(x, Approx):
+            raise OutsideDomainError(f"{emit_value(x)} is outside the table domain")
+        if pos % 2:
+            raise PrecisionExhausted(
+                f"approx value {x.value!r} within error {x.err!r} of endpoint "
+                f"{emit_value(self._cuts[pos // 2])}"
+            )
         raise OutsideDomainError(f"approx value {x.value!r} is outside the table domain")
 
-    def check_markov(self) -> bool:
-        """Each branch image is an exact union of consecutive x-intervals."""
-        ivs = [rec.interval for rec in self.branches]
+    def _covering(self, first: int, last: int) -> list[BranchRecord]:
+        """The branches whose open image contains the positions first..last."""
+        return [rec for rec, (lo, hi) in zip(self.branches, self._images) if lo < first and last < hi]
 
-        def same(e1, e2):
-            if e1 is None or e2 is None:
-                return e1 is None and e2 is None
-            return compare(e1, e2) == EQUAL
-
-        for rec in self.branches:
-            start = next(
-                (i for i, iv in enumerate(ivs) if same(iv.lo, rec.image.lo)), None
+    def inverse_branches(self, x: BoundaryValue) -> list[BranchRecord]:
+        """The branches whose open image contains x: the terms of the transfer operator at x."""
+        if isinstance(x, Infinity):
+            return []
+        first, last = self._locate(x)
+        if any(first <= e <= last for ends in self._images for e in ends):
+            raise ValueError(
+                "evaluation point sits on an image-interval boundary; "
+                "the characteristic function is undefined there"
             )
-            if start is None:
-                return False
-            i = start
-            while True:
-                if same(ivs[i].hi, rec.image.hi):
-                    break
-                if i + 1 >= len(ivs) or not same(ivs[i].hi, ivs[i + 1].lo):
-                    return False
-                i += 1
-        return True
+        return self._covering(first, last)
+
+    def follows(self, k: int) -> tuple[int, ...]:
+        """The Markov transitions: indices of the branches whose interval lies in branch k's image."""
+        lo, hi = self._images[k]
+        return tuple(j for j in self._at[lo + 1 : hi] if j is not None)
+
+    def check_markov(self) -> bool:
+        """Each branch image is an exact union of consecutive x-intervals: its
+        ends are cuts (odd positions) and each gap between them holds a branch."""
+        return all(
+            lo % 2 and hi % 2 and lo < hi and None not in self._at[lo + 1 : hi : 2]
+            for lo, hi in self._images
+        )
 
     def to_json(self) -> dict:
         return {
@@ -252,25 +299,11 @@ class BranchTable:
 def branch_table(p: int) -> BranchTable:
     """The cusp-expansion branch table for Gamma_0(p)."""
     _require_prime(p)
+    spheres = _domain(p).spheres  # spheres[k - 1] is |pz - k| = 1
     frac = lambda n, d=1: Rational(Fraction(n, d))
     h_neg = GroupElement(-1, 0, p, -1)
     records = []
-
-    def add(label, lo, hi, y_lo, y_hi, h, target_line, target_dir, rep_line, rep_dir):
-        iv = Interval(lo, hi)
-        records.append(
-            BranchRecord(
-                label=label,
-                interval=iv,
-                y_interval=Interval(y_lo, y_hi),
-                h=h,
-                image=_image_interval(h, iv),
-                target_line=Fraction(target_line),
-                target_dir=target_dir,
-                rep_line=Fraction(rep_line),
-                rep_dir=rep_dir,
-            )
-        )
+    add = lambda *row: records.append(_record(*row))
 
     add(NEG_INF_LABEL, None, frac(-1, p), frac(0), None, h_neg,
         Fraction(1, p), +1, Fraction(0), -1)
@@ -280,9 +313,9 @@ def branch_table(p: int) -> BranchTable:
         Fraction(0), +1, Fraction(0), +1)
     for k in range(1, p - 1):
         a = (-pow(k + 1, -1, p)) % p
-        add(k, frac(k, p), frac(k + 1, p), None, frac(k, p), g_pair(p, a),
+        add(k, frac(k, p), frac(k + 1, p), None, frac(k, p), spheres[a - 1].element,
             Fraction(a + 1, p), +1, Fraction(k, p), +1)
-    add(p - 1, frac(p - 1, p), frac(1), None, frac(p - 1, p), g_pair(p, 1),
+    add(p - 1, frac(p - 1, p), frac(1), None, frac(p - 1, p), spheres[0].element,
         Fraction(0), -1, Fraction(p - 1, p), +1)
     add(p, frac(1), None, None, frac(1), GroupElement(1, 1, 0, 1),
         Fraction(0), +1, Fraction(p - 1, p), +1)
@@ -292,33 +325,11 @@ def branch_table(p: int) -> BranchTable:
 
 def modular_table() -> BranchTable:
     """Two-branch table of the slow continued-fraction map on R+."""
-    one = Rational(1)
-    zero = Rational(0)
-    records = (
-        BranchRecord(
-            label=0,
-            interval=Interval(zero, one),
-            y_interval=Interval(None, zero),
-            h=GroupElement(1, 0, 1, 1),
-            image=Interval(zero, None),
-            target_line=Fraction(0),
-            target_dir=+1,
-            rep_line=Fraction(0),
-            rep_dir=+1,
-        ),
-        BranchRecord(
-            label=1,
-            interval=Interval(one, None),
-            y_interval=Interval(None, zero),
-            h=GroupElement(1, 1, 0, 1),
-            image=Interval(zero, None),
-            target_line=Fraction(0),
-            target_dir=+1,
-            rep_line=Fraction(0),
-            rep_dir=+1,
-        ),
-    )
-    return BranchTable(p=1, branches=records)
+    zero, one = Rational(0), Rational(1)
+    return BranchTable(p=1, branches=(
+        _record(0, zero, one, None, zero, GroupElement(1, 0, 1, 1), 0, +1, 0, +1),
+        _record(1, one, None, None, zero, GroupElement(1, 1, 0, 1), 0, +1, 0, +1),
+    ))
 
 
 def cusp_witness(p: int, r: Fraction) -> tuple[str, GroupElement]:
@@ -465,17 +476,16 @@ def code_future(
     )
 
 
-def _in_branch_pair(rec: BranchRecord, x: BoundaryValue, y: BoundaryValue) -> bool:
-    """Membership in the branch's product domain, restricted to pairs that
-    have a representative line crossing (backward endpoint left of the
-    branch's representative line).  On the unrestricted product rectangles
-    the backward branch would not be unique; the restriction is exactly
-    the image of the reduced cross section."""
-    if not (rec.interval.contains(x) and rec.y_interval.contains(y)):
+def _in_branch_pair(rec: BranchRecord, y: BoundaryValue) -> bool:
+    """Membership of the backward endpoint in the branch's product domain,
+    restricted to pairs that have a representative line crossing (backward
+    endpoint left of the branch's representative line).  On the
+    unrestricted product rectangles the backward branch would not be
+    unique; the restriction is exactly the image of the reduced cross
+    section."""
+    if not rec.y_interval.contains(y):
         return False
-    if rec.rep_dir == +1 and compare(y, Rational(rec.rep_line)) != -1:
-        return False
-    return True
+    return rec.rep_dir != +1 or compare(y, Rational(rec.rep_line)) == LESS
 
 
 def code_two_sided(
@@ -488,9 +498,9 @@ def code_two_sided(
     """Two-sided letters of the pair (x, y) on the reduced section.
 
     Future letters follow the first coordinate; past letters are found by
-    scanning the alphabet for the unique k with (h_k x, h_k y) in the
-    k-th product domain.  Finding two such k is an internal error;
-    finding none ends the past side (weak section behavior).
+    the unique k with (h_k x, h_k y) in the k-th product domain, among the
+    branches whose image contains x.  Finding two such k is an internal
+    error; finding none ends the past side (weak section behavior).
     """
     if compare(x, y) == EQUAL:
         raise ValueError("geodesic endpoints must be distinct")
@@ -504,14 +514,10 @@ def code_two_sided(
     cx, cy = x, y
     for step in range(n_past):
         hits = []
-        for rec in table.branches:
-            try:
-                bx = rec.h.apply_boundary(cx)
-                by = rec.h.apply_boundary(cy)
-            except ArithmeticError:
-                continue
-            if _in_branch_pair(rec, bx, by):
-                hits.append((rec, bx, by))
+        for rec in table._covering(*table._locate(cx)):
+            by = rec.h.apply_boundary(cy)
+            if _in_branch_pair(rec, by):
+                hits.append((rec, rec.h.apply_boundary(cx), by))
         if len(hits) > 1:
             raise AssertionError(
                 f"past branch not unique at step {step}: {[h[0].label for h in hits]}"

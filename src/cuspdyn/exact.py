@@ -480,7 +480,10 @@ def parse_value(text: str, approx_err: float = 1e-12) -> BoundaryValue:
         return normalize_surd(a, b, c, d)
     m = _APPROX_RE.match(text)
     if m:
-        return Approx(float(m.group(1)), approx_err)
+        value = float(m.group(1))
+        if not math.isfinite(value):
+            raise ValueError(f"approx value out of float range in {text!r}")
+        return Approx(value, approx_err)
     raise ValueError(f"unparseable boundary value {text!r}")
 
 

@@ -120,9 +120,6 @@ class CrossingPoint:
     re: BoundaryValue
     height2: BoundaryValue
 
-    def to_complex(self) -> complex:
-        return complex(self.re.to_float(), self.height2.to_float() ** 0.5)
-
     def to_json(self) -> dict:
         return {"re": emit_value(self.re), "height2": emit_value(self.height2)}
 
@@ -316,17 +313,9 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     else:
         # a previous crossing sits on h_k^{-1} . (representative line of branch k);
         # the renormalized pair is the previous point, so its branch names the letter
-        letter = next(
-            (
-                rec.label
-                for rec in table.branches
-                if rec.h == ginv
-                and rec.rep_line == base
-                and rec.rep_dir == direction
-                and rec.interval.contains(xt)
-            ),
-            None,
-        )
+        rec = table.branch_at(xt)
+        ok = rec is not None and (rec.h, rec.rep_line, rec.rep_dir) == (ginv, base, direction)
+        letter = rec.label if ok else None
 
     def at(c: BoundaryValue) -> CrossingPoint:
         return CrossingPoint(c, (c - y) * (x - c))

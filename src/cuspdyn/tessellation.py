@@ -27,6 +27,7 @@ __all__ = [
     "build_domain",
     "modular_domain",
     "g_pair",
+    "group_name",
     "cell",
     "reduce_point",
     "locate_cell",
@@ -39,6 +40,11 @@ _MAX_REDUCE_STEPS = 10**6
 def _require_prime(p: int) -> None:
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"p = {p} is not prime")
+
+
+def group_name(q: int) -> str:
+    """The group of level q as JSON output names it: modular or gamma0(q)."""
+    return "modular" if q == 1 else f"gamma0({q})"
 
 
 def g_pair(p: int, k: int) -> GroupElement:
@@ -228,7 +234,7 @@ def domain_to_json(dom: FordDomain) -> dict:
 
     return {
         "schema": 1,
-        "group": "modular" if dom.modular else f"gamma0({dom.p})",
+        "group": group_name(dom.p),
         "p": None if dom.modular else dom.p,
         "spheres": [
             {

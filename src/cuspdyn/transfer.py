@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import BoundaryValue, Infinity, Rational, compare
-from .dynamics import BranchRecord, BranchTable, Interval
+from .exact import BoundaryValue, Infinity, Rational
+from .dynamics import BranchTable, Interval
 
 __all__ = [
     "DensityFunction",
@@ -103,19 +103,6 @@ def _to_value(x) -> BoundaryValue:
     raise TypeError(f"cannot interpret {x!r} as an evaluation point")
 
 
-def _contributing(table: BranchTable, x: BoundaryValue) -> list[BranchRecord]:
-    recs = []
-    for rec in table.branches:
-        if rec.image.is_endpoint(x):
-            raise ValueError(
-                "evaluation point sits on an image-interval boundary; "
-                "the characteristic function is undefined there"
-            )
-        if rec.image.contains(x):
-            recs.append(rec)
-    return recs
-
-
 def apply_transfer(table: BranchTable, beta, phi, x):
     """(L_beta phi)(x) = sum over contributing branches of F_k'(x)^beta phi(h_k x).
 
@@ -134,7 +121,7 @@ def apply_transfer(table: BranchTable, beta, phi, x):
         and phi.exact_rule is not None
         and not isinstance(x, float)
     )
-    recs = _contributing(table, xv)
+    recs = table.inverse_branches(xv)
     if exact_mode:
         total: BoundaryValue = Rational(0)
         for rec in recs:
@@ -152,8 +139,8 @@ def apply_transfer(table: BranchTable, beta, phi, x):
         h = rec.h
         den = h.c * xf + h.d
         fprime = 1.0 / (den * den)
-        if fprime <= 0:
-            raise AssertionError("branch derivative is a square and must be positive")
+        if not 0.0 < fprime < math.inf:
+            raise ValueError(f"branch weight at x = {xf!r} is out of float range")
         w = _power(fprime, beta)
         q = (h.a * xf + h.b) / (h.c * xf + h.d)
         total = total + w * phi(q)
@@ -172,12 +159,12 @@ def transfer_two_step_pointwise(table: BranchTable, beta, phi, x) -> float | com
     xv = _to_value(x)
     xf = xv.to_float()
     total = 0.0
-    for rec_k in _contributing(table, xv):
+    for rec_k in table.inverse_branches(xv):
         hk = rec_k.h
         qf = (hk.a * xf + hk.b) / (hk.c * xf + hk.d)
         wk = _power(1.0 / (hk.c * xf + hk.d) ** 2, beta)
         qv = hk.apply_boundary(xv)
-        for rec_j in _contributing(table, qv):
+        for rec_j in table.inverse_branches(qv):
             hj = rec_j.h
             wj = _power(1.0 / (hj.c * qf + hj.d) ** 2, beta)
             q2 = (hj.a * qf + hj.b) / (hj.c * qf + hj.d)
@@ -262,12 +249,6 @@ def _bary_coeffs(t: float, tj: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return terms / terms.sum()
 
 
-def _interval_contained(inner: Interval, outer: Interval) -> bool:
-    lo_ok = outer.lo is None or (inner.lo is not None and compare(outer.lo, inner.lo) != 1)
-    hi_ok = outer.hi is None or (inner.hi is not None and compare(inner.hi, outer.hi) != 1)
-    return lo_ok and hi_ok
-
-
 class CollocationOperator:
     """Dense collocation matrix of L_beta in the weighted chart representation."""
 
@@ -296,11 +277,9 @@ class CollocationOperator:
         size = len(self.node_x)
         M = np.zeros((size, size), dtype=complex if complex_beta else float)
 
-        contained = {
-            m: [k for k, rk in enumerate(branches) if _interval_contained(branches[m].interval, rk.image)]
-            for m in range(len(branches))
-        }
-        steps: list[tuple[int, ...]] = []
+        # contained[m]: the branches k whose image contains interval m
+        ks = range(len(branches))
+        contained = [[k for k in ks if m in table.follows(k)] for m in ks]
         for i in range(size):
             m = int(self.node_branch[i])
             xi = self.node_x[i]

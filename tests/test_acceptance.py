@@ -116,7 +116,7 @@ def test_criterion_3_conjugacy_500_samples():
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"conjugacy run took {elapsed:.1f}s (limit 120s)"
     print(f"ACCEPTANCE 3: 500/500 oracle-vs-map matches for p in (2,3,5) "
-          f"at bound 50 ({elapsed:.1f} s) -- PASS")
+          f"with the exact cell walk ({elapsed:.1f} s) -- PASS")
 
 
 def _prev_rows(p):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspdyn.cli import main
 from cuspdyn.exact import emit_value, parse_value
@@ -228,3 +232,87 @@ def test_modular_domain_second_sphere(tmp_path, capsys):
     text = svg_path.read_text()
     assert text.count('class="sphere"') == 2
     assert 'd="M 200.000000 1200.000000 A 1000.000000 1000.000000 0 0 1 2200.000000' in text
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (("transfer", "--modular", "--beta", "nan", "--x", "rat:1/2"), "--beta"),
+        (("transfer", "--modular", "--beta", "inf", "--x", "rat:1/2"), "--beta"),
+        (("spectrum", "--modular", "--beta", "nan", "--nodes", "4"), "--beta"),
+        (("spectrum", "--modular", "--beta", "inf", "--nodes", "4"), "--beta"),
+        (("cf", "--x", "rat:7/3", "--digits", "-1"), "--digits"),
+        (("code", "--modular", "--x", "surd:(1+1*sqrt(5))/2", "--y", "surd:(1+-1*sqrt(5))/2",
+          "--past", "-1"), "--past"),
+        (("code", "--p", "5", "--x", "approx:1e400"), "out of float range"),
+        (("transfer", "--p", "5", "--x", "approx:1e308", "--beta", "0.5"), "out of float range"),
+    ],
+)
+def test_out_of_range_arguments_are_argument_errors(capsys, argv, says):
+    code = main(list(argv))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and says in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["code", "return"])
+def test_approx_on_a_cut_is_an_argument_error(capsys, cmd):
+    # the backward endpoint needs the branch of x, which an approx within its error of 3/5 has not
+    code = main([cmd, "--p", "5", "--x", "approx:0.5999999999999", "--y", "approx:-0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: approx value 0.5999999999999 within error 1e-12 of endpoint rat:3/5")
+
+
+# --- every grammar-valid input ends with an exit code ---------------------------
+
+_INTS = st.one_of(st.integers(-12, 12), st.integers(-(10**40), 10**40))
+_VALUES = st.one_of(
+    st.builds("rat:{}/{}".format, _INTS, _INTS),
+    # trial division makes the squarefree split cost sqrt(d), so d stays moderate
+    st.builds("surd:({}+{}*sqrt({}))/{}".format, _INTS, _INTS, st.integers(0, 10**6), _INTS),
+    st.just("inf"),
+    st.builds(
+        "approx:{}{}.{}e{}".format,
+        st.sampled_from(["", "-"]),
+        st.integers(0, 10**20),
+        st.integers(0, 10**6),
+        st.integers(-400, 400),
+    ),
+)
+_GROUPS = st.sampled_from([["--modular"], ["--p", "2"], ["--p", "3"], ["--p", "5"], ["--p", "13"]])
+_SMALL = st.integers(-2, 12).map(str)
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["code", "cf", "transfer", "return"]))
+    x = ["--x", draw(_VALUES)]
+    if cmd == "cf":
+        return [cmd, *x, "--digits", draw(_SMALL), "--steps", draw(st.integers(-2, 40).map(str))]
+    group = draw(_GROUPS)
+    if cmd == "code":
+        y = ["--y", draw(_VALUES)] if draw(st.booleans()) else []
+        return [cmd, *group, *x, *y, "--steps", draw(_SMALL), "--past", draw(_SMALL)]
+    if cmd == "transfer":
+        beta = draw(st.sampled_from(["0", "1", "2", "3", "0.5", "1.5", "-1", "nan", "inf"]))
+        return [cmd, *group, *x, "--beta", beta, "--phi", draw(st.sampled_from(["one", "invx"]))]
+    previous = ["--previous"] if draw(st.booleans()) else []
+    return [cmd, *group, *x, "--y", draw(_VALUES), *previous]
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_grammar_valid_inputs_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse and the CLI's own argument errors
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())  # exit 1 is conjugacy-check's alone
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert "error:" in err.getvalue()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 
 from cuspdyn.dynamics import (
     NEG_INF_LABEL,
+    BranchTable,
     CuspPointError,
+    Interval,
     OutsideDomainError,
     PrecisionExhausted,
     accelerate_to_cf,
@@ -18,7 +21,7 @@ from cuspdyn.dynamics import (
     cusp_witness,
     modular_table,
 )
-from cuspdyn.exact import INF, Approx, Rational, Surd, compare, normalize_surd
+from cuspdyn.exact import INF, Approx, Rational, Surd, compare, emit_value, normalize_surd
 from cuspdyn.moebius import GroupElement
 from cuspdyn.sampling import SQUAREFREE, sample_surd_in
 
@@ -300,3 +303,122 @@ def test_cusp_orbit_charaterization():
         r = Fraction(rng.randint(-200, 200), rng.randint(1, 60))
         orbit, g = cusp_witness(5, r)
         assert orbit == ("inf" if r.denominator % 5 == 0 else "zero")
+
+
+# --- the partition against brute-force scans of the branch records --------------
+
+
+def _scan_branch_of(t, x):
+    """Branch lookup by scanning every record's interval in order."""
+    if x is INF:
+        raise CuspPointError(x, "inf", None)
+    if isinstance(x, Rational):
+        if t.p == 1:
+            for rec in t.branches:
+                if rec.interval.contains(x):
+                    return rec
+        raise CuspPointError(x, *cusp_witness(t.p, x.fr))
+    if isinstance(x, Approx):
+        for rec in t.branches:
+            for e in (rec.interval.lo, rec.interval.hi):
+                if e is not None and abs(e.to_float() - x.value) <= x.err:
+                    raise PrecisionExhausted(
+                        f"approx value {x.value!r} within error {x.err!r} of endpoint {emit_value(e)}"
+                    )
+            if rec.interval.contains(x):
+                return rec
+        raise OutsideDomainError(f"approx value {x.value!r} is outside the table domain")
+    for rec in t.branches:
+        if rec.interval.contains(x):
+            return rec
+    raise OutsideDomainError(f"{emit_value(x)} is outside the table domain")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as err:
+        extra = (err.orbit, err.witness) if isinstance(err, CuspPointError) else ()
+        return type(err), str(err), extra
+
+
+def _partition_points(t, rng):
+    cuts = sorted({e for rec in t.branches for e in (rec.interval.lo, rec.interval.hi) if e is not None},
+                  key=lambda e: e.fr)
+    points = list(cuts) + [INF]
+    for _ in range(60):
+        lo = Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+        points.append(Rational(lo))
+        points.append(sample_surd_in(rng, lo - 1, lo + 1, rng.choice(SQUAREFREE)))
+    for c in cuts + [Rational(Fraction(1, 3)), Rational(-2)]:
+        for err in (1e-12, 1e-6, 0.3):
+            for shift in (-2, -0.5, 0, 0.5, 2):
+                points.append(Approx(c.to_float() + shift * err, err))
+    for a, b in zip(cuts, cuts[1:]):  # within error of exactly two adjacent cuts
+        points.append(Approx((a.to_float() + b.to_float()) / 2, 0.6 * (b.to_float() - a.to_float())))
+    return points
+
+
+TABLES = [modular_table()] + [branch_table(p) for p in (2, 3, 5, 13)]
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_branch_lookup_matches_interval_scan(t):
+    rng = random.Random(41)
+    for x in _partition_points(t, rng):
+        # positions: 2i for the gap below cut i, 2i + 1 for cut i; a range for an Approx
+        on = [2 * i + 1 for i, c in enumerate(t._cuts) if compare(x, c) == 0]
+        above = 2 * sum(compare(x, c) == 1 for c in t._cuts)
+        assert t._locate(x) == ((on[0], on[-1]) if on else (above, above)), x
+        assert _outcome(t.branch_of, x) == _outcome(_scan_branch_of, t, x), x
+        want = next((rec for rec in t.branches if rec.interval.contains(x)), None)
+        assert t.branch_at(x) is want, x
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_inverse_branches_match_image_scan(t):
+    rng = random.Random(43)
+    ends = [e for rec in t.branches for e in (rec.image.lo, rec.image.hi) if e is not None]
+    assert t.inverse_branches(INF) == []
+    for x in _partition_points(t, rng):
+        if x is INF:
+            continue
+        want = [rec for rec in t.branches if rec.image.contains(x)]
+        assert t._covering(*t._locate(x)) == want, x  # the past side of code_two_sided
+        if any(compare(x, e) == 0 for e in ends):
+            with pytest.raises(ValueError, match="image-interval boundary"):
+                t.inverse_branches(x)
+        else:
+            assert t.inverse_branches(x) == want, x
+
+
+def _contained(inner, outer):
+    lo_ok = outer.lo is None or (inner.lo is not None and compare(outer.lo, inner.lo) != 1)
+    hi_ok = outer.hi is None or (inner.hi is not None and compare(inner.hi, outer.hi) != 1)
+    return lo_ok and hi_ok
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_follows_is_image_containment(t):
+    for k, rec in enumerate(t.branches):
+        want = tuple(j for j, rj in enumerate(t.branches) if _contained(rj.interval, rec.image))
+        assert t.follows(k) == want
+
+
+def test_markov_check_fails_off_the_partition():
+    tm = modular_table()
+    r0, r1 = tm.branches
+    half = Rational(Fraction(1, 2))
+    # image ends that are not cuts
+    off_cut = BranchTable(p=1, branches=(dataclasses.replace(r0, image=Interval(half, None)), r1))
+    assert not off_cut.check_markov()
+    assert off_cut.follows(0) == (1,)
+    off_cut_hi = BranchTable(p=1, branches=(dataclasses.replace(r0, image=Interval(Rational(0), half)), r1))
+    assert not off_cut_hi.check_markov()
+    assert off_cut_hi.follows(0) == ()
+    # an image that covers the gap below 0, where no branch lies
+    over_gap = BranchTable(p=1, branches=(dataclasses.replace(r0, image=Interval(None, None)), r1))
+    assert not over_gap.check_markov()
+    assert tm.check_markov()
+    with pytest.raises(ValueError, match="consecutive"):
+        BranchTable(p=1, branches=(r1, r0))
