@@ -17,9 +17,6 @@ import sys
 from . import dynamics, flow_oracle, sampling, svg, tessellation, transfer
 from .exact import GREATER, Infinity, Rational, compare, emit_value, parse_value
 
-_DEFAULT_APPROX_ERR = float(os.environ.get("CUSPDYN_APPROX_ERR", "1e-12"))
-
-
 def _dump(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
@@ -30,6 +27,23 @@ def _count(args, name: str) -> int:
     if n < 0:
         raise ValueError(f"--{name} must be >= 0, got {n}")
     return n
+
+
+def _approx_err() -> float:
+    """The error bound of approx: inputs, from CUSPDYN_APPROX_ERR; finite and >= 0."""
+    text = os.environ.get("CUSPDYN_APPROX_ERR", "1e-12")
+    try:
+        err = float(text)
+    except ValueError:
+        err = math.nan
+    if not (math.isfinite(err) and err >= 0):
+        raise ValueError(f"CUSPDYN_APPROX_ERR must be a finite number >= 0, got {text!r}")
+    return err
+
+
+def _value(args, name: str):
+    """A boundary-value argument, with the approx error bound of this run."""
+    return parse_value(getattr(args, name), args.approx_err)
 
 
 def _beta(args) -> float:
@@ -84,9 +98,9 @@ def cmd_branches(args) -> int:
 def cmd_code(args) -> int:
     table = _table(args)
     past = _count(args, "past")
-    x = parse_value(args.x, _DEFAULT_APPROX_ERR)
+    x = _value(args, "x")
     if args.y is not None:
-        y = parse_value(args.y, _DEFAULT_APPROX_ERR)
+        y = _value(args, "y")
         seq = dynamics.code_two_sided(table, x, y, args.steps, past)
     else:
         seq = dynamics.code_future(table, x, args.steps, keep_states=args.trace)
@@ -97,7 +111,7 @@ def cmd_code(args) -> int:
 def cmd_cf(args) -> int:
     table = dynamics.modular_table()
     _count(args, "digits")
-    x = parse_value(args.x, _DEFAULT_APPROX_ERR)
+    x = _value(args, "x")
     if isinstance(x, Infinity) or compare(x, Rational(1)) != GREATER:
         raise ValueError(f"cf needs a finite x > 1, got {emit_value(x)}")
     seq = dynamics.code_future(table, x, args.steps)
@@ -112,8 +126,8 @@ def cmd_cf(args) -> int:
 
 def cmd_return(args) -> int:
     table = _table(args)
-    x = parse_value(args.x, _DEFAULT_APPROX_ERR)
-    y = parse_value(args.y, _DEFAULT_APPROX_ERR)
+    x = _value(args, "x")
+    y = _value(args, "y")
     sp = flow_oracle.canonical_section_point(table, x, y)
     if args.previous:
         rec = flow_oracle.previous_exterior_geometric(sp, table)
@@ -142,7 +156,7 @@ def cmd_conjugacy_check(args) -> int:
 def cmd_transfer(args) -> int:
     table = _table(args)
     phi = _parse_phi(args.phi)
-    x = parse_value(args.x, _DEFAULT_APPROX_ERR)
+    x = _value(args, "x")
     beta = _beta(args)
     exact_beta = int(beta) if beta.is_integer() and beta >= 0 else None
     use_beta = exact_beta if (exact_beta is not None and x.is_exact() and phi.exact_rule) else beta
@@ -251,6 +265,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        args.approx_err = _approx_err()
         return args.fn(args)
     except SystemExit:
         raise

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 from .exact import (
     EQUAL,
@@ -22,6 +23,7 @@ from .exact import (
     Infinity,
     Rational,
     Surd,
+    ceil_moebius,
     compare,
     emit_value,
 )
@@ -136,6 +138,32 @@ def label_to_json(label) -> str | int:
     return "-inf" if label == NEG_INF_LABEL else int(label)
 
 
+def _parabolic_run(rec: BranchRecord) -> tuple[tuple, tuple] | None:
+    """(M, N) when F = h^{-1} is parabolic and fixes one end f of the interval; else None.
+
+    With F taken at trace 2 and N = F - I, N^2 = 0, so F^n = I + nN.  M is
+    the Moebius map sending the other end e to 0, f to inf and h(e) to 1,
+    so it conjugates F to x -> x - 1.  On a branch that follows itself M
+    maps the interval onto (0, inf): the letter repeats exactly ceil(M x)
+    times from x, and the run ends at (I + nN) x.  Points are integer
+    pairs (v1, v2) for v1/v2, with (1, 0) for an unbounded end.
+    """
+    g, h = rec.h_inv, rec.h
+    if abs(g.a + g.d) != 2:
+        return None
+    s = (g.a + g.d) // 2
+    N = (s * g.a - 1, s * g.b, s * g.c, s * g.d - 1)
+    ends = [(1, 0) if v is None else (v.numerator, v.denominator) for v in (rec.interval.lo, rec.interval.hi)]
+    fixed = [N[0] * u + N[1] * v == 0 == N[2] * u + N[3] * v for u, v in ends]
+    if fixed.count(True) != 1:
+        return None
+    f, e = ends if fixed[0] else ends[::-1]
+    y = (h.a * e[0] + h.b * e[1], h.c * e[0] + h.d * e[1])
+    det = lambda u, v: u[0] * v[1] - u[1] * v[0]
+    fy, ey = det(f, y), det(e, y)
+    return (-e[1] * fy, e[0] * fy, -f[1] * ey, f[0] * ey), N
+
+
 def _record(label, lo, hi, y_lo, y_hi, h, target_line, target_dir, rep_line, rep_dir) -> BranchRecord:
     """The record of a branch whose image is that of (lo, hi) under h^{-1} (monotone increasing)."""
     hinv = h.inv()
@@ -161,7 +189,9 @@ class BranchTable:
     ends, the cuts, sorted.  Position 2i is the gap just below cuts[i] and
     2i + 1 is cuts[i]; _at holds the branch index at each position (None
     on the cuts and in empty gaps), _images the positions of the ends of
-    each branch image (-1 and len(_at) when unbounded).
+    each branch image (-1 and len(_at) when unbounded).  _runs maps the
+    label of each parabolic branch that follows itself to its (M, N), see
+    _parabolic_run: code_future takes the runs of these letters in one step.
     """
 
     p: int
@@ -171,6 +201,7 @@ class BranchTable:
     _cuts: tuple = field(init=False, repr=False, compare=False)
     _at: tuple = field(init=False, repr=False, compare=False)
     _images: tuple = field(init=False, repr=False, compare=False)
+    _runs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for rec in self.branches:
@@ -189,6 +220,8 @@ class BranchTable:
         end = lambda e, unbounded: unbounded if e is None else self._locate(e)[0]
         images = tuple((end(r.image.lo, -1), end(r.image.hi, len(at))) for r in self.branches)
         object.__setattr__(self, "_images", images)
+        runs = {rec.label: _parabolic_run(rec) for k, rec in enumerate(self.branches) if k in self.follows(k)}
+        object.__setattr__(self, "_runs", {label: run for label, run in runs.items() if run})
 
     def branch(self, label) -> BranchRecord:
         return self._by_label[label]
@@ -434,39 +467,76 @@ def code_future(
 ) -> CodingSequence:
     """Forward letters of x, with exact-state period detection.
 
-    A period is reported only when the exact orbit state repeats;
-    letter-window heuristics are never used.  Termination reasons are
-    data, not errors.
+    Each step of the loop takes one letter, or from an exact state in a
+    parabolic branch that follows itself the whole run of that letter:
+    its length is one exact ceiling and its end one Moebius image (see
+    _parabolic_run).  A period is reported only when an exact orbit state
+    repeats; letter-window heuristics are never used.  Termination
+    reasons are data, not errors.
+
+    States are looked up at step starts.  The first repeat there comes
+    exactly one period after the earlier state, and the minimal preperiod
+    is found by backing off while letters[i-1] == letters[i-1+per]: two
+    equal letters that lead to one state come from one state, because
+    each branch is injective.  A period that closes by max_steps shows by
+    the first step start at or past it, unless the preperiod ends inside
+    a run.  Then it shows one run later, and that first start is exactly
+    at max_steps and begins a run of a letter that has already run more
+    than once; only then does the loop take one more run.  Letters past
+    max_steps are kept up to 2 * max_steps, enough to back off from any
+    such repeat.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     letters: list = []
     states: list = [x]
-    seen: dict = {x: 0} if x.is_exact() else {}
+    exact = x.is_exact()
+    seen: dict = {x: 0} if exact else {}
+    repeated: set = set()  # letters that have run more than once
     term = None
-    cur = x
-    for step in range(max_steps):
-        try:
-            nxt, label = apply_F(table, cur)
-        except CuspPointError as err:
-            term = Termination("cusp", step, at=err.value)
-            break
-        except PrecisionExhausted:
-            term = Termination("precision-exhausted", step, at=cur)
-            break
-        letters.append(label)
-        states.append(nxt)
-        cur = nxt
-        if cur.is_exact():
-            if cur in seen:
-                pre = seen[cur]
-                term = Termination(
-                    "periodic", step + 1, preperiod=pre, period=step + 1 - pre
-                )
-                letters = letters[: step + 1]
+    pos, cur = 0, x
+    while True:
+        if pos < max_steps:
+            try:
+                rec = table.branch_of(cur)
+            except CuspPointError as err:
+                term = Termination("cusp", pos, at=err.value)
                 break
-            seen[cur] = step + 1
+            except PrecisionExhausted:
+                term = Termination("precision-exhausted", pos, at=cur)
+                break
+        else:
+            rec = table.branch_at(cur) if pos == max_steps and repeated else None
+            if rec is None or rec.label not in repeated:
+                break
+        run = table._runs.get(rec.label) if exact else None
+        if run is None:
+            n, nxt = 1, rec.apply(cur)
+        else:
+            M, N = run
+            n = ceil_moebius(M, cur)
+            nxt = GroupElement(1 + n * N[0], n * N[1], n * N[2], 1 + n * N[3]).apply_boundary(cur)
+            if n > 1:
+                repeated.add(rec.label)
+        letters.extend([rec.label] * min(n, 2 * max_steps - pos))
+        if keep_states:
+            for _ in range(min(n, max_steps - pos)):
+                states.append(rec.apply(states[-1]))
+        pos, cur = pos + n, nxt
+        if exact:
+            t = seen.setdefault(cur, pos)
+            if t != pos:
+                per = pos - t
+                if len(letters) == pos:
+                    pre = t
+                    while pre and letters[pre - 1] == letters[pre - 1 + per]:
+                        pre -= 1
+                    if pre + per <= max_steps:
+                        term = Termination("periodic", pre + per, preperiod=pre, period=per)
+                        letters = letters[: pre + per]
+                break
     if term is None:
+        letters = letters[:max_steps]
         term = Termination("step-cap", len(letters))
     return CodingSequence(
         table_kind=table.name,
@@ -624,13 +694,7 @@ def accelerate_to_cf(seq: CodingSequence, max_digits: int = 64) -> CFDigits:
 
 
 def _rle(letters) -> list[tuple[object, int]]:
-    runs: list[tuple[object, int]] = []
-    for l in letters:
-        if runs and runs[-1][0] == l:
-            runs[-1] = (l, runs[-1][1] + 1)
-        else:
-            runs.append((l, 1))
-    return runs
+    return [(label, len(list(run))) for label, run in groupby(letters)]
 
 
 # --- floor-and-invert oracles ------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "compare",
     "compare_detailed",
     "floor_exact",
+    "ceil_moebius",
     "parse_value",
     "emit_value",
 ]
@@ -442,25 +443,52 @@ def compare_detailed(x: BoundaryValue, y: BoundaryValue) -> tuple[int, bool]:
     return EQUAL, False
 
 
+def _floor_root(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d))/c) for c > 0 and squarefree d > 1."""
+    t = b * b * d
+    m = math.isqrt(t) if b >= 0 else -math.isqrt(t) - 1
+    return (a + m) // c
+
+
 def floor_exact(x: BoundaryValue) -> int:
     """Exact floor of a finite exact value."""
     x = _coerce(x)
     if isinstance(x, Rational):
         return x.numerator // x.denominator
     if isinstance(x, Surd):
-        t = x.b * x.b * x.d
-        m = math.isqrt(t) if x.b > 0 else -math.isqrt(t) - 1
-        return (x.a + m) // x.c
+        return _floor_root(x.a, x.b, x.c, x.d)
     raise TypeError(f"floor is not defined for {x!r}")
+
+
+def ceil_moebius(matrix: tuple[int, int, int, int], x: BoundaryValue) -> int:
+    """Exact ceiling of (a*x + b)/(c*x + d) for matrix = (a, b, c, d).
+
+    The integer matrix may have any nonzero determinant; x is a rational
+    or a surd off its pole.  For a surd the quotient is rationalised by
+    the conjugate of its denominator, so one isqrt decides it.
+    """
+    a, b, c, d = matrix
+    if isinstance(x, Rational):
+        p, q = x.numerator, x.denominator
+        return -(-(a * p + b * q) // (c * p + d * q))
+    n0, n1 = a * x.a + b * x.c, a * x.b
+    m0, m1 = c * x.a + d * x.c, c * x.b
+    num0, num1, den = n0 * m0 - n1 * m1 * x.d, n1 * m0 - n0 * m1, m0 * m0 - m1 * m1 * x.d
+    if den < 0:
+        num0, num1, den = -num0, -num1, -den
+    return -_floor_root(-num0, -num1, den, x.d)
 
 
 # --- text grammar -----------------------------------------------------------
 #
 #   rat:<num>/<den>      surd:(<a>+<b>*sqrt(<d>))/<c>      inf      approx:<decimal>
+#
+# with the radicand d at most MAX_RADICAND.
 
 _RAT_RE = re.compile(r"^rat:(-?\d+)/(-?\d+)$")
 _SURD_RE = re.compile(r"^surd:\((-?\d+)\+(-?\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")
 _APPROX_RE = re.compile(r"^approx:(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)$")
+MAX_RADICAND = 10**12  # the squarefree split tries factors up to sqrt(d)
 
 
 def parse_value(text: str, approx_err: float = 1e-12) -> BoundaryValue:
@@ -477,6 +505,8 @@ def parse_value(text: str, approx_err: float = 1e-12) -> BoundaryValue:
     m = _SURD_RE.match(text)
     if m:
         a, b, d, c = (int(m.group(i)) for i in (1, 2, 3, 4))
+        if d > MAX_RADICAND:
+            raise ValueError(f"radicand {d} exceeds the bound {MAX_RADICAND} in {text!r}")
         return normalize_surd(a, b, c, d)
     m = _APPROX_RE.match(text)
     if m:

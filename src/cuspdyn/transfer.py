@@ -28,6 +28,10 @@ import numpy as np
 from .exact import BoundaryValue, Infinity, Rational
 from .dynamics import BranchTable, Interval
 
+# An exact weight (c x + d)^(-2 beta) has about beta times the bits of
+# (c x + d)^(-2); larger ones are refused rather than computed.
+MAX_WEIGHT_BITS = 1 << 17
+
 __all__ = [
     "DensityFunction",
     "CollocationOperator",
@@ -128,10 +132,13 @@ def apply_transfer(table: BranchTable, beta, phi, x):
             h = rec.h
             t = xv * h.c + Rational(h.d)
             fprime = (t * t).reciprocal()
-            w: BoundaryValue = Rational(1)
-            for _ in range(beta):
-                w = w * fprime
-            total = total + w * phi.exact(h.apply_boundary(xv))
+            bits = beta * _bits(fprime)
+            if bits > MAX_WEIGHT_BITS:
+                raise ValueError(
+                    f"the exact weight at beta = {beta} has about {bits} bits, "
+                    f"over the bound of {MAX_WEIGHT_BITS}"
+                )
+            total = total + _exact_power(fprime, beta) * phi.exact(h.apply_boundary(xv))
         return total
     xf = xv.to_float()
     total = 0.0
@@ -145,6 +152,24 @@ def apply_transfer(table: BranchTable, beta, phi, x):
         q = (h.a * xf + h.b) / (h.c * xf + h.d)
         total = total + w * phi(q)
     return total
+
+
+def _bits(v: BoundaryValue) -> int:
+    """Bit length of the largest integer in a rational or surd."""
+    ints = (v.numerator, v.denominator) if isinstance(v, Rational) else (v.a, v.b, v.c)
+    return max(abs(i).bit_length() for i in ints)
+
+
+def _exact_power(v: BoundaryValue, n: int) -> BoundaryValue:
+    """v**n for n >= 0, by repeated squaring."""
+    out: BoundaryValue = Rational(1)
+    while n:
+        if n & 1:
+            out = out * v
+        n >>= 1
+        if n:
+            v = v * v
+    return out
 
 
 def _power(fprime: float, beta):

@@ -265,6 +265,48 @@ def test_approx_on_a_cut_is_an_argument_error(capsys, cmd):
     assert err.startswith("error: approx value 0.5999999999999 within error 1e-12 of endpoint rat:3/5")
 
 
+def test_radicand_over_the_bound_is_an_argument_error(capsys):
+    # d = 2^89 - 1 has no small factor, so the squarefree split would try about 2.5e13
+    code = main(["code", "--modular", "--x", f"surd:(0+1*sqrt({2**89 - 1}))/1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: radicand 618970019642690137449562111 exceeds the bound")
+
+
+def test_exact_beta_is_a_power(capsys):
+    # at x = 1/2 the modular branches have weights (3/2)^(-2 beta) and 1
+    code, out = run_cli(capsys, "transfer", "--modular", "--beta", "50", "--x", "rat:1/2")
+    assert code == 0
+    assert json.loads(out)["value_exact"] == f"rat:{4**50 + 9**50}/{9**50}"
+
+
+def test_exact_beta_over_the_weight_bound_is_an_argument_error(capsys):
+    code = main(["transfer", "--modular", "--beta", "1e9", "--x", "rat:1/2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the exact weight at beta = 1000000000 has about")
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+def test_bad_approx_error_bound_is_an_argument_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("CUSPDYN_APPROX_ERR", value)
+    code = main(["code", "--modular", "--x", "rat:3/2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: CUSPDYN_APPROX_ERR must be a finite number >= 0")
+
+
+def test_approx_error_bound_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("CUSPDYN_APPROX_ERR", "0.001")
+    code = main(["code", "--p", "5", "--x", "approx:0.5999"])  # within 1e-3 of the cut 3/5
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["termination"]["kind"] == "precision-exhausted"
+
+
 # --- every grammar-valid input ends with an exit code ---------------------------
 
 _INTS = st.one_of(st.integers(-12, 12), st.integers(-(10**40), 10**40))
@@ -287,14 +329,26 @@ _SMALL = st.integers(-2, 12).map(str)
 
 @st.composite
 def _argv(draw):
-    cmd = draw(st.sampled_from(["code", "cf", "transfer", "return"]))
+    cmd = draw(st.sampled_from(["code", "cf", "transfer", "return", "domain", "branches", "spectrum",
+                                "conjugacy-check"]))
+    if cmd in ("domain", "branches"):
+        show = ["--show", draw(st.sampled_from(["precells", "cells"]))] if cmd == "domain" else []
+        return [cmd, *draw(_GROUPS), *show]
+    if cmd == "spectrum":
+        beta = draw(st.sampled_from(["0", "1", "0.5", "-1", "nan"]))
+        return [cmd, *draw(_GROUPS), "--beta", beta, "--nodes", draw(st.integers(-1, 8).map(str)),
+                "--top", draw(_SMALL)]
+    if cmd == "conjugacy-check":
+        return [cmd, *draw(_GROUPS), "--samples", draw(st.integers(-1, 3).map(str)),
+                "--seed", draw(st.integers(-(10**6), 10**6).map(str))]
     x = ["--x", draw(_VALUES)]
     if cmd == "cf":
         return [cmd, *x, "--digits", draw(_SMALL), "--steps", draw(st.integers(-2, 40).map(str))]
     group = draw(_GROUPS)
     if cmd == "code":
         y = ["--y", draw(_VALUES)] if draw(st.booleans()) else []
-        return [cmd, *group, *x, *y, "--steps", draw(_SMALL), "--past", draw(_SMALL)]
+        trace = ["--trace"] if draw(st.booleans()) else []
+        return [cmd, *group, *x, *y, "--steps", draw(_SMALL), "--past", draw(_SMALL), *trace]
     if cmd == "transfer":
         beta = draw(st.sampled_from(["0", "1", "2", "3", "0.5", "1.5", "-1", "nan", "inf"]))
         return [cmd, *group, *x, "--beta", beta, "--phi", draw(st.sampled_from(["one", "invx"]))]
@@ -311,7 +365,7 @@ def test_grammar_valid_inputs_exit_cleanly(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse and the CLI's own argument errors
             code = exc.code
-    assert code in (0, 2), (argv, code, err.getvalue())  # exit 1 is conjugacy-check's alone
+    assert code in (0, 2), (argv, code, err.getvalue())  # exit 1 would be a conjugacy mismatch
     if code == 0:
         json.loads(out.getvalue())
     else:

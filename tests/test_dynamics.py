@@ -7,10 +7,12 @@ import pytest
 from cuspdyn.dynamics import (
     NEG_INF_LABEL,
     BranchTable,
+    CodingSequence,
     CuspPointError,
     Interval,
     OutsideDomainError,
     PrecisionExhausted,
+    Termination,
     accelerate_to_cf,
     apply_F,
     branch_table,
@@ -422,3 +424,93 @@ def test_markov_check_fails_off_the_partition():
     assert tm.check_markov()
     with pytest.raises(ValueError, match="consecutive"):
         BranchTable(p=1, branches=(r1, r0))
+
+
+# --- jump coding against the letter-by-letter loop --------------------------------
+
+
+def _code_future_by_letter(t, x, max_steps, keep_states=False):
+    """The coding with one apply_F per letter: the reference for code_future's run jumps."""
+    letters, states, term = [], [x], None
+    seen = {x: 0} if x.is_exact() else {}
+    for step in range(max_steps):
+        try:
+            nxt, label = apply_F(t, states[-1])
+        except CuspPointError as err:
+            term = Termination("cusp", step, at=err.value)
+            break
+        except PrecisionExhausted:
+            term = Termination("precision-exhausted", step, at=states[-1])
+            break
+        letters.append(label)
+        states.append(nxt)
+        if nxt.is_exact():
+            if nxt in seen:
+                pre = seen[nxt]
+                term = Termination("periodic", step + 1, preperiod=pre, period=step + 1 - pre)
+                break
+            seen[nxt] = step + 1
+    if term is None:
+        term = Termination("step-cap", len(letters))
+    return CodingSequence(t.name, tuple(letters), term,
+                          states=tuple(states[: len(letters) + 1]) if keep_states else None)
+
+
+def _jump_inputs(t, rng):
+    lo, hi = (Fraction(0), Fraction(12)) if t.p == 1 else (Fraction(-3), Fraction(3))
+    xs = [sample_surd_in(rng, lo, hi, rng.choice(SQUAREFREE), b_max=3, c_range=(5, 20)) for _ in range(14)]
+    xs += [Rational(Fraction(rng.randint(1, 400), rng.randint(1, 30))) for _ in range(6)]
+    xs += [Approx(rng.uniform(float(lo), float(hi)), err) for err in (1e-12, 1e-9, 1e-6) for _ in range(2)]
+    return xs + [normalize_surd(0, -1, 1, 2), INF]
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_jump_coding_matches_letter_loop(t):
+    rng = random.Random(53)
+    for x in _jump_inputs(t, rng):
+        full = _outcome(_code_future_by_letter, t, x, 601)
+        if isinstance(full, tuple):  # outside the modular domain
+            assert _outcome(code_future, t, x, 1) == full
+            continue
+        n, pre, per = len(full.letters), full.termination.preperiod or 0, full.termination.period or 0
+        if n > 600:  # keep the letter loop's share of the suite small
+            continue
+        caps = {1, 2, 3, pre, pre + 1, pre + per - 1, pre + per, pre + per + 1, n - 1, n, n + 1,
+                rng.randint(1, n + 2)}
+        for cap in sorted(c for c in caps if c >= 1):
+            for keep in (False, True):
+                want = _code_future_by_letter(t, x, cap, keep)
+                assert code_future(t, x, cap, keep) == want, (x, cap, keep)
+
+
+@pytest.mark.parametrize("t", TABLES + [branch_table(p) for p in (7, 11, 17)], ids=lambda t: t.name)
+def test_run_letters_are_the_parabolic_ones_that_follow_themselves(t):
+    # hyperbolic branches that follow themselves (trace 3 for p = 5 and 11) take single steps
+    assert set(t._runs) == ({0, 1} if t.p == 1 else {-1, 0, t.p})
+    for label, (_, (a, b, c, d)) in t._runs.items():
+        g = t.branch(label).h_inv
+        assert g * g * g == GroupElement(1 + 3 * a, 3 * b, 3 * c, 1 + 3 * d)
+
+
+def test_period_closing_at_the_cap_inside_a_run():
+    # 2 + sqrt3 = [3; 1, 2, 1, 2, ...] codes 1 1 1 0 (1 1 0)...: the period
+    # starts inside the first run, so at cap 4 = preperiod + period the
+    # repeat is seen only at the second step start past the cap
+    tm = modular_table()
+    x = Surd(2, 1, 1, 3)
+    seq = code_future(tm, x, 4)
+    assert seq.letters == (1, 1, 1, 0)
+    assert seq.termination == Termination("periodic", 4, preperiod=1, period=3)
+    assert code_future(tm, x, 3).termination == Termination("step-cap", 3)
+
+
+def test_jump_coding_applies_one_element_per_run(monkeypatch):
+    tm = modular_table()
+    calls = []
+    apply = GroupElement.apply_boundary
+    monkeypatch.setattr(GroupElement, "apply_boundary", lambda g, v: calls.append(g) or apply(g, v))
+    seq = code_future(tm, Rational(Fraction(1000001, 2)), 10**6)
+    # 1000001/2 runs 500000 letters 1 to 1/2, one letter 0 to the cusp 1
+    assert seq.letters == (1,) * 500000 + (0,)
+    assert seq.termination == Termination("cusp", 500001, at=Rational(1))
+    assert len(calls) == 2

@@ -17,6 +17,7 @@ from cuspdyn.exact import (
     Surd,
     compare,
     compare_detailed,
+    ceil_moebius,
     emit_value,
     floor_exact,
     normalize_surd,
@@ -172,6 +173,23 @@ def test_floor_matches_float(a, b, c, d):
     assert floor_exact(v) == math.floor(v.to_float())
 
 
+@given(
+    x=st.one_of(
+        st.builds(normalize_surd, st.integers(-30, 30), st.integers(-9, 9).filter(bool),
+                  st.integers(1, 30), st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13))),
+        st.builds(lambda n, m: Rational(Fraction(n, m)), st.integers(-99, 99), st.integers(1, 30)),
+    ),
+    m=st.tuples(*[st.integers(-20, 20)] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
+)
+@settings(max_examples=300, deadline=None)
+def test_ceil_moebius_matches_exact_arithmetic(x, m):
+    a, b, c, d = m
+    den = x * c + Rational(d)
+    if den == Rational(0):
+        return  # x sits on the pole
+    assert ceil_moebius(m, x) == -floor_exact(-((x * a + Rational(b)) / den))
+
+
 def test_grammar_round_trip():
     cases = [
         "rat:3/7",
@@ -201,7 +219,7 @@ def test_grammar_approx():
 
 
 def test_grammar_rejects_garbage():
-    for bad in ("rat:1/0", "surd:(1+1*sqrt(-2))/2", "foo", "rat:x/y"):
+    for bad in ("rat:1/0", "surd:(1+1*sqrt(-2))/2", "foo", "rat:x/y", f"surd:(0+1*sqrt({10**12 + 1}))/1"):
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_value(bad)
 
