@@ -163,8 +163,11 @@ def cmd_transfer(args) -> int:
     value = transfer.apply_transfer(table, use_beta, phi, x)
     out = {"schema": 1, "beta": beta, "phi": args.phi, "x": emit_value(x)}
     if hasattr(value, "to_float"):
-        out["value"] = value.to_float()
         out["value_exact"] = emit_value(value)
+        try:
+            out["value"] = value.to_float()
+        except OverflowError:
+            raise ValueError("the value's magnitude is beyond float range") from None
     else:
         out["value"] = value
     _dump(out)

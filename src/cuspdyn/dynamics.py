@@ -21,6 +21,7 @@ from .exact import (
     Approx,
     BoundaryValue,
     Infinity,
+    PrecisionExhausted,
     Rational,
     Surd,
     ceil_moebius,
@@ -62,10 +63,6 @@ class CuspPointError(ValueError):
         self.orbit = orbit
         self.witness = witness
         super().__init__(f"cusp point {emit_value(value)} (orbit of {orbit})")
-
-
-class PrecisionExhausted(ArithmeticError):
-    """An Approx value came closer to a branch endpoint than its error bound."""
 
 
 class OutsideDomainError(ValueError):
@@ -197,7 +194,6 @@ class BranchTable:
     p: int
     branches: tuple[BranchRecord, ...]
     _by_label: dict = field(repr=False, default_factory=dict)
-    _letter_lookup: dict = field(repr=False, default_factory=dict)
     _cuts: tuple = field(init=False, repr=False, compare=False)
     _at: tuple = field(init=False, repr=False, compare=False)
     _images: tuple = field(init=False, repr=False, compare=False)
@@ -206,7 +202,6 @@ class BranchTable:
     def __post_init__(self):
         for rec in self.branches:
             self._by_label[rec.label] = rec
-            self._letter_lookup[(rec.h.key(), rec.target_line, rec.target_dir)] = rec.label
         ivs = [rec.interval for rec in self.branches]
         if any(a.hi is None or b.lo is None or compare(a.hi, b.lo) != EQUAL for a, b in zip(ivs, ivs[1:])):
             raise ValueError("branch intervals must be consecutive")
@@ -225,10 +220,6 @@ class BranchTable:
 
     def branch(self, label) -> BranchRecord:
         return self._by_label[label]
-
-    def letter_for(self, g: GroupElement, line: Fraction, direction: int):
-        """Letter whose element and target line match; None if unknown."""
-        return self._letter_lookup.get((g.key(), line, direction))
 
     @property
     def name(self) -> str:
@@ -467,12 +458,12 @@ def code_future(
 ) -> CodingSequence:
     """Forward letters of x, with exact-state period detection.
 
-    Each step of the loop takes one letter, or from an exact state in a
-    parabolic branch that follows itself the whole run of that letter:
-    its length is one exact ceiling and its end one Moebius image (see
-    _parabolic_run).  A period is reported only when an exact orbit state
-    repeats; letter-window heuristics are never used.  Termination
-    reasons are data, not errors.
+    Each step of the loop takes one letter, or in a parabolic branch that
+    follows itself the whole run of that letter: its length is one exact
+    ceiling and its end one Moebius image (see _parabolic_run).  An Approx
+    state runs as far as its shorter end does.  A period is reported only
+    when an orbit state repeats exactly; letter-window heuristics are
+    never used.  Termination reasons are data, not errors.
 
     States are looked up at step starts.  The first repeat there comes
     exactly one period after the earlier state, and the minimal preperiod
@@ -490,8 +481,7 @@ def code_future(
         raise ValueError("max_steps must be >= 1")
     letters: list = []
     states: list = [x]
-    exact = x.is_exact()
-    seen: dict = {x: 0} if exact else {}
+    seen: dict = {x: 0}
     repeated: set = set()  # letters that have run more than once
     term = None
     pos, cur = 0, x
@@ -509,7 +499,7 @@ def code_future(
             rec = table.branch_at(cur) if pos == max_steps and repeated else None
             if rec is None or rec.label not in repeated:
                 break
-        run = table._runs.get(rec.label) if exact else None
+        run = table._runs.get(rec.label)
         if run is None:
             n, nxt = 1, rec.apply(cur)
         else:
@@ -523,18 +513,17 @@ def code_future(
             for _ in range(min(n, max_steps - pos)):
                 states.append(rec.apply(states[-1]))
         pos, cur = pos + n, nxt
-        if exact:
-            t = seen.setdefault(cur, pos)
-            if t != pos:
-                per = pos - t
-                if len(letters) == pos:
-                    pre = t
-                    while pre and letters[pre - 1] == letters[pre - 1 + per]:
-                        pre -= 1
-                    if pre + per <= max_steps:
-                        term = Termination("periodic", pre + per, preperiod=pre, period=per)
-                        letters = letters[: pre + per]
-                break
+        t = seen.setdefault(cur, pos)
+        if t != pos:
+            per = pos - t
+            if len(letters) == pos:
+                pre = t
+                while pre and letters[pre - 1] == letters[pre - 1 + per]:
+                    pre -= 1
+                if pre + per <= max_steps:
+                    term = Termination("periodic", pre + per, preperiod=pre, period=per)
+                    letters = letters[: pre + per]
+            break
     if term is None:
         letters = letters[:max_steps]
         term = Termination("step-cap", len(letters))
@@ -570,7 +559,8 @@ def code_two_sided(
     Future letters follow the first coordinate; past letters are found by
     the unique k with (h_k x, h_k y) in the k-th product domain, among the
     branches whose image contains x.  Finding two such k is an internal
-    error; finding none ends the past side (weak section behavior).
+    error; finding none ends the past side (weak section behavior), and
+    so does an Approx pair that an h_k maps across its pole.
     """
     if compare(x, y) == EQUAL:
         raise ValueError("geodesic endpoints must be distinct")
@@ -584,10 +574,14 @@ def code_two_sided(
     cx, cy = x, y
     for step in range(n_past):
         hits = []
-        for rec in table._covering(*table._locate(cx)):
-            by = rec.h.apply_boundary(cy)
-            if _in_branch_pair(rec, by):
-                hits.append((rec, rec.h.apply_boundary(cx), by))
+        try:
+            for rec in table._covering(*table._locate(cx)):
+                by = rec.h.apply_boundary(cy)
+                if _in_branch_pair(rec, by):
+                    hits.append((rec, rec.h.apply_boundary(cx), by))
+        except PrecisionExhausted:
+            past_term = Termination("precision-exhausted", step)
+            break
         if len(hits) > 1:
             raise AssertionError(
                 f"past branch not unique at step {step}: {[h[0].label for h in hits]}"

@@ -2,9 +2,10 @@
 
 A boundary value is a point of R u {inf}: a rational n/m, a real
 quadratic surd (a + b*sqrt(d))/c, the single compactification point
-inf, or a floating approximation with a tracked error bound.  Rationals
-and surds are kept as canonical integer tuples, so that equality is
-structural, and all arithmetic and ordering is done on plain integers.
+inf, or an approximate value, the closed interval of rationals within
+an error bound of a float.  Rationals and surds are kept as canonical
+integer tuples, so that equality is structural, and all arithmetic and
+ordering is done on plain integers.
 
 The total order is decided by integer sign rules alone, never by
 floating comparison.  Within one field (or against a rational) the
@@ -14,14 +15,17 @@ P + Q*sqrt(d1) with R*sqrt(d2) is decided by their signs when they
 differ, and otherwise by the sign of their squares' difference
 (P^2 + Q^2*d1 - R^2*d2) + 2PQ*sqrt(d1), times their common sign.  No
 case refines an interval, so no comparison of two exact finite values
-can fail.  The family is closed under integer Moebius maps of
-determinant one (within one quadratic field).
+can fail.  An interval is ordered against a value only when it lies
+strictly on one side, by the same rules on its two ends.  The family is
+closed under integer Moebius maps of determinant one (within one
+quadratic field).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
@@ -35,9 +39,9 @@ __all__ = [
     "EQUAL",
     "GREATER",
     "FieldMixError",
+    "PrecisionExhausted",
     "normalize_surd",
     "compare",
-    "compare_detailed",
     "floor_exact",
     "ceil_moebius",
     "parse_value",
@@ -49,6 +53,10 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 class FieldMixError(ValueError):
     """Arithmetic mixing sqrt(d1) with sqrt(d2), d1 != d2, is not supported."""
+
+
+class PrecisionExhausted(ArithmeticError):
+    """An Approx interval meets a branch endpoint or a pole, so its points disagree."""
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -205,7 +213,23 @@ class Surd(BoundaryValue):
         raise AttributeError("Surd is immutable")
 
     def to_float(self) -> float:
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
+        """The value as a float, also when its integers are past float range.
+
+        Those take b*sqrt(d) as an isqrt scaled to at least 64 bits and,
+        when a and b differ in sign, the value as (a^2 - b^2*d) / (c*(a -
+        b*sqrt(d))), so no digits cancel; one int/int division rounds.
+        """
+        a, b, c, d = self.a, self.b, self.c, self.d
+        try:
+            return (a + b * math.sqrt(d)) / c
+        except OverflowError:
+            pass
+        cancel = a != 0 and (a < 0) != (b < 0)
+        t = b * b * d
+        k = max(0, 65 - t.bit_length() // 2)
+        r = math.isqrt(t << 2 * k)
+        s = (a << k) + (-r if (b > 0) == cancel else r)
+        return ((a * a - t) << k) / (c * s) if cancel else s / (c << k)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -321,28 +345,53 @@ INF = Infinity()
 
 
 class Approx(BoundaryValue):
-    """Floating value with an absolute error bound; comparisons are inexact."""
+    """The closed interval [lo, hi] of rationals that an approximate value may be.
 
-    __slots__ = ("value", "err")
+    Approx(value, err) is [v - e, v + e] for the exact binary values v and
+    e of the two floats, so error 0 is the float's own value.  value and
+    err are the float midpoint and half-width.
+    """
+
+    __slots__ = ("lo", "hi")
 
     def __init__(self, value: float, err: float = 1e-12):
-        object.__setattr__(self, "value", float(value))
-        object.__setattr__(self, "err", float(err))
+        value, err = float(value), float(err)
+        if not (math.isfinite(value) and math.isfinite(err) and err >= 0):
+            raise ValueError(f"Approx needs a finite value and error >= 0, got {value!r}, {err!r}")
+        v, e = Fraction(value), Fraction(err)
+        object.__setattr__(self, "lo", Rational(v - e))
+        object.__setattr__(self, "hi", Rational(v + e))
 
     def __setattr__(self, *a):
         raise AttributeError("Approx is immutable")
+
+    @property
+    def value(self) -> float:
+        return float((self.lo.fr + self.hi.fr) / 2)
+
+    @property
+    def err(self) -> float:
+        return float((self.hi.fr - self.lo.fr) / 2)
 
     def to_float(self) -> float:
         return self.value
 
     def __eq__(self, other):
-        return isinstance(other, Approx) and (self.value, self.err) == (other.value, other.err)
+        return isinstance(other, Approx) and (self.lo, self.hi) == (other.lo, other.hi)
 
     def __hash__(self):
-        return hash(("bv-approx", self.value, self.err))
+        return hash(("bv-approx", self.lo, self.hi))
 
     def __repr__(self):
-        return f"Approx({self.value!r}, err={self.err!r})"
+        return f"Approx([{self.lo!r}, {self.hi!r}])"
+
+
+def _approx(lo: Rational, hi: Rational) -> Approx:
+    """The Approx [lo, hi] for rationals lo <= hi."""
+    x = object.__new__(Approx)
+    object.__setattr__(x, "lo", lo)
+    object.__setattr__(x, "hi", hi)
+    return x
 
 
 def _coerce(x) -> BoundaryValue:
@@ -388,12 +437,7 @@ def _sign_of_root_combination(A: int, B: int, d: int) -> int:
 
 
 def compare(x: BoundaryValue, y: BoundaryValue) -> int:
-    """Total-order comparison returning LESS / EQUAL / GREATER."""
-    return compare_detailed(x, y)[0]
-
-
-def compare_detailed(x: BoundaryValue, y: BoundaryValue) -> tuple[int, bool]:
-    """Comparison plus an exactness flag (False when an Approx is involved).
+    """Total-order comparison returning LESS / EQUAL / GREATER.
 
     Exact values are ordered by integer signs.  Against a rational or
     within one field, sign(x - y) is the sign of A + B*sqrt(d).  For
@@ -402,45 +446,46 @@ def compare_detailed(x: BoundaryValue, y: BoundaryValue) -> tuple[int, bool]:
     When sign(X) != sign(Y) the answer is sign(X); otherwise it is
     sign(X) * sign(X^2 - Y^2), where X^2 - Y^2 = (P^2 + Q^2*d1 - R^2*d2)
     + 2PQ*sqrt(d1) is never zero because the fields share no irrational.
+    An Approx is LESS or GREATER only when its whole interval is, and
+    EQUAL when the order of its points is not decided.
     """
     x, y = _coerce(x), _coerce(y)
     if isinstance(x, Surd):
         a, b, c, d = x.a, x.b, x.c, x.d
         if isinstance(y, Rational):
             n, m = y.numerator, y.denominator
-            return _sign_of_root_combination(a * m - n * c, b * m, d), True
+            return _sign_of_root_combination(a * m - n * c, b * m, d)
         if isinstance(y, Surd):
             c2 = y.c
             P, Q = a * c2 - y.a * c, b * c2
             if y.d == d:
-                return _sign_of_root_combination(P, Q - y.b * c, d), True
+                return _sign_of_root_combination(P, Q - y.b * c, d)
             R = y.b * c
             sx, sy = _sign_of_root_combination(P, Q, d), (R > 0) - (R < 0)
             if sx != sy:
-                return sx, True
+                return sx
             t = _sign_of_root_combination(P * P + Q * Q * d - R * R * y.d, 2 * P * Q, d)
-            return sx * t, True
+            return sx * t
     elif isinstance(x, Rational):
         n, m = x.numerator, x.denominator
         if isinstance(y, Rational):
             t = n * y.denominator - y.numerator * m
-            return (t > 0) - (t < 0), True
+            return (t > 0) - (t < 0)
         if isinstance(y, Surd):
             # n/m - (a + b sqrt(d))/c has the sign of (n*c - a*m) - b*m*sqrt(d)
-            return _sign_of_root_combination(n * y.c - y.a * m, -y.b * m, y.d), True
+            return _sign_of_root_combination(n * y.c - y.a * m, -y.b * m, y.d)
     xi, yi = isinstance(x, Infinity), isinstance(y, Infinity)
     if xi or yi:
         if xi and yi:
-            return EQUAL, True
-        return (GREATER, True) if xi else (LESS, True)
-    fx, fy = x.to_float(), y.to_float()
-    ex = x.err if isinstance(x, Approx) else 0.0
-    ey = y.err if isinstance(y, Approx) else 0.0
-    if fx + ex < fy - ey:
-        return LESS, False
-    if fx - ex > fy + ey:
-        return GREATER, False
-    return EQUAL, False
+            return EQUAL
+        return GREATER if xi else LESS
+    x_lo, x_hi = (x.lo, x.hi) if isinstance(x, Approx) else (x, x)
+    y_lo, y_hi = (y.lo, y.hi) if isinstance(y, Approx) else (y, y)
+    if compare(x_hi, y_lo) == LESS:
+        return LESS
+    if compare(x_lo, y_hi) == GREATER:
+        return GREATER
+    return EQUAL
 
 
 def _floor_root(a: int, b: int, c: int, d: int) -> int:
@@ -464,9 +509,12 @@ def ceil_moebius(matrix: tuple[int, int, int, int], x: BoundaryValue) -> int:
     """Exact ceiling of (a*x + b)/(c*x + d) for matrix = (a, b, c, d).
 
     The integer matrix may have any nonzero determinant; x is a rational
-    or a surd off its pole.  For a surd the quotient is rationalised by
-    the conjugate of its denominator, so one isqrt decides it.
+    or a surd off its pole, or an Approx on which the map is monotone.
+    For a surd the quotient is rationalised by the conjugate of its
+    denominator, so one isqrt decides it.
     """
+    if isinstance(x, Approx):  # M is monotone on the branch that holds the interval
+        return min(ceil_moebius(matrix, x.lo), ceil_moebius(matrix, x.hi))
     a, b, c, d = matrix
     if isinstance(x, Rational):
         p, q = x.numerator, x.denominator
@@ -483,7 +531,8 @@ def ceil_moebius(matrix: tuple[int, int, int, int], x: BoundaryValue) -> int:
 #
 #   rat:<num>/<den>      surd:(<a>+<b>*sqrt(<d>))/<c>      inf      approx:<decimal>
 #
-# with the radicand d at most MAX_RADICAND.
+# with the radicand d at most MAX_RADICAND.  Integers go through Decimal,
+# which, unlike int <-> str, converts integers of any length.
 
 _RAT_RE = re.compile(r"^rat:(-?\d+)/(-?\d+)$")
 _SURD_RE = re.compile(r"^surd:\((-?\d+)\+(-?\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")
@@ -498,13 +547,13 @@ def parse_value(text: str, approx_err: float = 1e-12) -> BoundaryValue:
         return INF
     m = _RAT_RE.match(text)
     if m:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = int(Decimal(m.group(1))), int(Decimal(m.group(2)))
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Rational(num, den)
     m = _SURD_RE.match(text)
     if m:
-        a, b, d, c = (int(m.group(i)) for i in (1, 2, 3, 4))
+        a, b, d, c = (int(Decimal(m.group(i))) for i in (1, 2, 3, 4))
         if d > MAX_RADICAND:
             raise ValueError(f"radicand {d} exceeds the bound {MAX_RADICAND} in {text!r}")
         return normalize_surd(a, b, c, d)
@@ -523,9 +572,9 @@ def emit_value(x: BoundaryValue) -> str:
     if isinstance(x, Infinity):
         return "inf"
     if isinstance(x, Rational):
-        return f"rat:{x.numerator}/{x.denominator}"
+        return f"rat:{Decimal(x.numerator)}/{Decimal(x.denominator)}"
     if isinstance(x, Surd):
-        return f"surd:({x.a}+{x.b}*sqrt({x.d}))/{x.c}"
+        return f"surd:({Decimal(x.a)}+{Decimal(x.b)}*sqrt({x.d}))/{Decimal(x.c)}"
     if isinstance(x, Approx):
         return f"approx:{x.value!r}"
     raise TypeError(f"cannot emit {x!r}")

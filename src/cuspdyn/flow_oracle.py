@@ -308,14 +308,16 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
             break
     else:
         raise AssertionError("the crossed side has no representative label")
+    # the branch of the point before the crossing names the letter: a next
+    # crossing lands on branch k's target line, a previous one sits on
+    # h_k^{-1} . (representative line of branch k)
     if forward:
-        letter = table.letter_for(g, base, direction)
+        rec = table.branch_at(x)
+        ok = rec is not None and (rec.h, rec.target_line, rec.target_dir) == (g, base, direction)
     else:
-        # a previous crossing sits on h_k^{-1} . (representative line of branch k);
-        # the renormalized pair is the previous point, so its branch names the letter
         rec = table.branch_at(xt)
         ok = rec is not None and (rec.h, rec.rep_line, rec.rep_dir) == (ginv, base, direction)
-        letter = rec.label if ok else None
+    letter = rec.label if ok else None
 
     def at(c: BoundaryValue) -> CrossingPoint:
         return CrossingPoint(c, (c - y) * (x - c))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import INF, Approx, BoundaryValue, Infinity, Rational, Surd, _coprime, _surd
+from .exact import INF, Approx, BoundaryValue, Infinity, PrecisionExhausted, Rational, Surd
+from .exact import _approx, _coprime, _surd
 
 __all__ = ["GroupElement", "HPoint", "IsometricSphere", "identity", "in_gamma0"]
 
@@ -71,7 +72,9 @@ class GroupElement:
 
         The matrix is unimodular, so the image of a reduced fraction is
         reduced, and the image of (a + b*sqrt(d))/c has sqrt(d)-coefficient
-        b*c before the one gcd of the surd canonicaliser.
+        b*c before the one gcd of the surd canonicaliser.  The map is
+        increasing off its pole, so an Approx interval that avoids the pole
+        maps end to end; one that holds it raises PrecisionExhausted.
         """
         A, B, C, D = self.a, self.b, self.c, self.d
         if isinstance(x, Surd):
@@ -91,13 +94,12 @@ class GroupElement:
         if isinstance(x, Infinity):
             return INF if C == 0 else _coprime(A, C)
         if isinstance(x, Approx):
-            den = C * x.value + D
-            if den == 0:
-                return INF
-            # first-order error propagation through the Moebius map
-            deriv = 1.0 / (den * den)
-            val = (A * x.value + B) / den
-            return Approx(val, abs(deriv) * x.err * 1.0000000001 + 1e-17 * (1 + abs(val)))
+            lo, hi = x.lo, x.hi
+            if C * lo.numerator + D * lo.denominator <= 0 <= C * hi.numerator + D * hi.denominator:
+                raise PrecisionExhausted(
+                    f"approx value {x.value!r} within error {x.err!r} of the pole rat:{-D}/{C}"
+                )
+            return _approx(self.apply_boundary(lo), self.apply_boundary(hi))
         raise TypeError(f"cannot apply group element to {x!r}")
 
     def apply_hpoint(self, z: "HPoint") -> "HPoint":

@@ -28,9 +28,11 @@ import numpy as np
 from .exact import BoundaryValue, Infinity, Rational
 from .dynamics import BranchTable, Interval
 
-# An exact weight (c x + d)^(-2 beta) has about beta times the bits of
-# (c x + d)^(-2); larger ones are refused rather than computed.
-MAX_WEIGHT_BITS = 1 << 17
+# An exact weight (c x + d)^(-2 beta) has about beta times the digits of
+# (c x + d)^(-2), exactly that many for a rational x; larger ones are
+# refused rather than computed.  The bound is Python's own default for
+# converting an int to text.
+MAX_WEIGHT_DIGITS = 4300
 
 __all__ = [
     "DensityFunction",
@@ -132,11 +134,11 @@ def apply_transfer(table: BranchTable, beta, phi, x):
             h = rec.h
             t = xv * h.c + Rational(h.d)
             fprime = (t * t).reciprocal()
-            bits = beta * _bits(fprime)
-            if bits > MAX_WEIGHT_BITS:
+            digits = beta * _digits(fprime)
+            if digits >= MAX_WEIGHT_DIGITS:
                 raise ValueError(
-                    f"the exact weight at beta = {beta} has about {bits} bits, "
-                    f"over the bound of {MAX_WEIGHT_BITS}"
+                    f"the exact weight at beta = {beta} has about {int(digits) + 1} digits, "
+                    f"over the bound of {MAX_WEIGHT_DIGITS}"
                 )
             total = total + _exact_power(fprime, beta) * phi.exact(h.apply_boundary(xv))
         return total
@@ -154,10 +156,10 @@ def apply_transfer(table: BranchTable, beta, phi, x):
     return total
 
 
-def _bits(v: BoundaryValue) -> int:
-    """Bit length of the largest integer in a rational or surd."""
+def _digits(v: BoundaryValue) -> float:
+    """log10 of the largest integer in a rational or surd."""
     ints = (v.numerator, v.denominator) if isinstance(v, Rational) else (v.a, v.b, v.c)
-    return max(abs(i).bit_length() for i in ints)
+    return math.log10(max(abs(i) for i in ints))
 
 
 def _exact_power(v: BoundaryValue, n: int) -> BoundaryValue:

@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspdyn.cli import main
-from cuspdyn.exact import emit_value, parse_value
+from cuspdyn.exact import Rational, compare, emit_value, parse_value
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +280,48 @@ def test_exact_beta_is_a_power(capsys):
     code, out = run_cli(capsys, "transfer", "--modular", "--beta", "50", "--x", "rat:1/2")
     assert code == 0
     assert json.loads(out)["value_exact"] == f"rat:{4**50 + 9**50}/{9**50}"
+
+
+def test_past_side_ends_where_an_approx_straddles_a_pole(capsys):
+    # after one past letter the backward endpoint is an interval around -1, the pole of x/(x+1)
+    code, out = run_cli(capsys, "code", "--modular", "--x", "approx:0.3", "--y", "approx:-0.5",
+                        "--steps", "20", "--past", "20")
+    assert code == 0
+    assert json.loads(out)["past_termination"] == {"kind": "precision-exhausted", "step": 1}
+
+
+def test_exact_value_past_float_range_of_its_integers(capsys):
+    code, out = run_cli(capsys, "transfer", "--p", "13", "--beta", "300", "--phi", "invx",
+                        "--x", "surd:(1+1*sqrt(2))/7")
+    assert code == 0
+    data = json.loads(out)
+    exact, value = parse_value(data["value_exact"]), Fraction(data["value"])
+    tol = Fraction(1, 10**15)
+    assert compare(Rational(value * (1 - tol)), exact) == -1 and compare(Rational(value * (1 + tol)), exact) == 1
+
+
+def test_value_beyond_float_range_is_an_argument_error(capsys):
+    # x/(x+1) maps 10^-400 to about 10^-400, and invx turns that into about 10^400
+    code = main(["transfer", "--modular", "--beta", "0", "--phi", "invx", "--x", f"rat:1/{10**400}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the value's magnitude is beyond float range\n"
+
+
+def test_exact_beta_just_under_the_weight_bound(capsys):
+    # (3/2)^(-9000) has 4294 digits, inside the bound of 4300
+    code, out = run_cli(capsys, "transfer", "--modular", "--beta", "4500", "--x", "rat:1/2")
+    assert code == 0
+    assert parse_value(json.loads(out)["value_exact"]) == Rational(Fraction(4**4500 + 9**4500, 9**4500))
+
+
+def test_exact_beta_over_the_digit_bound_is_an_argument_error(capsys):
+    code = main(["transfer", "--modular", "--beta", "6000", "--x", "rat:1/2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the exact weight at beta = 6000 has about 5726 digits, over the bound of 4300\n"
 
 
 def test_exact_beta_over_the_weight_bound_is_an_argument_error(capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspdyn.dynamics import (
     NEG_INF_LABEL,
@@ -514,3 +516,48 @@ def test_jump_coding_applies_one_element_per_run(monkeypatch):
     assert seq.letters == (1,) * 500000 + (0,)
     assert seq.termination == Termination("cusp", 500001, at=Rational(1))
     assert len(calls) == 2
+
+
+# --- Approx intervals: every reported letter is that of every point ------------
+
+_OFFSET = Surd(0, 1, 10**60, 2)  # 10^-60 sqrt(2): exact points just inside an interval's ends
+
+
+def _letters_at_both_ends(t, x, n):
+    """Letter-by-letter codings of n letters of the exact points lo + 10^-60 sqrt2 and hi - 10^-60 sqrt2."""
+    return [_code_future_by_letter(t, e, n).letters for e in (x.lo + _OFFSET, x.hi - _OFFSET)]
+
+
+@given(st.sampled_from(TABLES), st.floats(0, 1), st.sampled_from((1e-12, 1e-6, 1e-3)))
+@settings(max_examples=200, deadline=None)
+def test_approx_letters_hold_for_the_whole_interval(t, u, err):
+    lo, hi = (0, 12) if t.p == 1 else (-3, 3)
+    x = Approx(lo + (hi - lo) * u, err)
+    letters = code_future(t, x, 200).letters
+    if letters:
+        assert _letters_at_both_ends(t, x, len(letters)) == [letters, letters]
+
+
+@pytest.mark.parametrize("t, v, err, n", [
+    (branch_table(2), 2.1113077514094725, 1e-12, 70),
+    (branch_table(2), -2.420509706659658, 1e-6, 19),
+    (modular_table(), 2.20747578431883, 1e-3, 11),
+], ids=["p2-1e-12", "p2-1e-6", "modular-1e-3"])
+def test_approx_coding_stops_before_the_ends_disagree(t, v, err, n):
+    # the two ends of the interval first disagree at letter n
+    x = Approx(v, err)
+    seq = code_future(t, x, 100)
+    assert seq.termination.kind == "precision-exhausted" and len(seq.letters) < n
+    ends = _letters_at_both_ends(t, x, n)
+    assert ends[0][: n - 1] == ends[1][: n - 1] and ends[0][n - 1] != ends[1][n - 1]
+    assert ends[0][: len(seq.letters)] == seq.letters
+
+
+def test_approx_run_jump_takes_the_shorter_end():
+    # [1/2^20 - e, 1/2^20 + e] runs letter 0 of the modular table ceil(1/x - 1) times from either end
+    tm = modular_table()
+    x = Approx(2.0**-20, 2.0**-40)
+    seq = code_future(tm, x, 10**7)
+    n = min(-(-(xe.denominator - xe.numerator) // xe.numerator) for xe in (x.lo, x.hi))
+    assert seq.letters == (0,) * n
+    assert (seq.termination.kind, seq.termination.step) == ("precision-exhausted", n)

@@ -16,7 +16,6 @@ from cuspdyn.exact import (
     Rational,
     Surd,
     compare,
-    compare_detailed,
     ceil_moebius,
     emit_value,
     floor_exact,
@@ -94,9 +93,9 @@ def test_compare_cross_field():
 
 def test_compare_approx_flagged():
     a = Approx(0.5, 1e-9)
-    order, exact = compare_detailed(a, Rational(Fraction(1, 2)))
+    order, exact = compare(a, Rational(Fraction(1, 2))), a.is_exact()
     assert not exact and order == EQUAL
-    order, exact = compare_detailed(a, Rational(Fraction(2, 3)))
+    order, exact = compare(a, Rational(Fraction(2, 3))), a.is_exact()
     assert not exact and order == LESS
 
 
@@ -329,3 +328,36 @@ def test_compare_cross_field_beyond_any_fixed_precision():
     y = normalize_surd(0, 1, 1, 3)
     assert compare(x, y) == LESS
     assert compare(y, x) == GREATER
+
+
+def test_approx_is_the_closed_rational_interval_of_its_float():
+    a = Approx(0.1, 0)  # the float 0.1 is a binary rational just above 1/10
+    assert a.lo == a.hi == Rational(Fraction(0.1)) and (a.value, a.err) == (0.1, 0.0)
+    assert compare(a, Rational(Fraction(1, 10))) == GREATER
+    b = Approx(0.1, 2.0**-60)
+    assert (b.lo.fr, b.hi.fr) == (Fraction(0.1) - Fraction(1, 2**60), Fraction(0.1) + Fraction(1, 2**60))
+    assert compare(b, Rational(Fraction(0.1))) == EQUAL and compare(b, a) == EQUAL
+    assert compare(b, Rational(Fraction(1, 10))) == GREATER  # 0.1 - 1/10 > 2^-60
+    assert compare(Approx(-0.5, 0.25), Approx(0.5, 0.25)) == LESS
+    # the interval is closed: an end that touches a value leaves the order undecided
+    half = Approx(0.5, 0.25)
+    for end in (Rational(Fraction(1, 4)), Rational(Fraction(3, 4)), Approx(0.0, 0.25), Approx(1.0, 0.25)):
+        assert compare(half, end) == EQUAL == compare(end, half)
+
+
+@pytest.mark.parametrize("err", [-1, math.nan, math.inf])
+def test_approx_refuses_a_bad_error(err):
+    with pytest.raises(ValueError):
+        Approx(0.5, err)
+
+
+def test_surd_to_float_past_float_range():
+    # (-1393 + 985 sqrt2) + 10^-400, with integers of 400 digits whose leading digits cancel,
+    # and (1 + sqrt2) + 10^-400, whose do not
+    big = 10**400
+    tol = Fraction(1, 10**15)
+    for v in (normalize_surd(-1393 * big + 1, 985 * big, big, 2), normalize_surd(big + 1, big, big, 2)):
+        f = Fraction(v.to_float())
+        assert compare(Rational(f * (1 - tol)), v) == LESS and compare(Rational(f * (1 + tol)), v) == GREATER
+    with pytest.raises(OverflowError):
+        normalize_surd(big, 1, 1, 2).to_float()

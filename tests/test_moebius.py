@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspdyn.exact import INF, Rational, Surd, normalize_surd
+from cuspdyn.exact import GREATER, INF, Approx, PrecisionExhausted, Rational, Surd, compare, normalize_surd
 from cuspdyn.moebius import GroupElement, HPoint, IsometricSphere, identity, in_gamma0
 
 
@@ -177,3 +177,32 @@ def test_apply_boundary_matches_fraction_reference(word, num, b, den, d):
         assert img.denominator > 0 and math.gcd(img.numerator, img.denominator) == 1
     elif isinstance(img, Surd):
         assert img.c > 0 and math.gcd(img.a, img.b, img.c) == 1
+
+
+def test_apply_boundary_encloses_an_approx_interval():
+    # an integer map of determinant one is increasing off its pole
+    rng = random.Random(19)
+    mapped = poles = 0
+    for _ in range(400):
+        g = identity()
+        for _ in range(rng.randint(1, 4)):
+            g = g * GroupElement(1, rng.randint(-3, 3), 0, 1) * GroupElement(0, -1, 1, 0)
+        x = Approx(rng.uniform(-3, 3), rng.choice((1e-12, 1e-6, 1e-3, 0.3)))
+        lo, hi = x.lo.fr, x.hi.fr
+        if g.c and lo <= Fraction(-g.d, g.c) <= hi:
+            poles += 1
+            with pytest.raises(PrecisionExhausted):
+                g.apply_boundary(x)
+            continue
+        mapped += 1
+        y = g.apply_boundary(x)
+        image = lambda t: (g.a * t + g.b) / (g.c * t + g.d)
+        assert (y.lo.fr, y.hi.fr) == (image(lo), image(hi))
+        inner = [lo + (hi - lo) * Fraction(k, 7) for k in range(8)]
+        assert all(y.lo.fr <= image(t) <= y.hi.fr for t in inner)
+        s = g.apply_boundary(x.lo + (x.hi - x.lo) * normalize_surd(-1, 1, 1, 2))  # lo + (sqrt2 - 1)(hi - lo)
+        assert compare(y.lo, s) != GREATER and compare(s, y.hi) != GREATER
+    assert mapped > 100 and poles > 10
+    for x in (Approx(-0.5, 0.5), Approx(-1.5, 0.5)):  # the pole -1 of x/(x + 1) at an end
+        with pytest.raises(PrecisionExhausted):
+            GroupElement(1, 0, 1, 1).apply_boundary(x)

@@ -1,0 +1,80 @@
+"""Run a fixed CLI corpus against two source trees and print where they differ.
+
+    python tools/cli_corpus.py OLD/src NEW/src
+
+Each tree runs in its own process and calls cuspdyn.cli.main for every
+invocation: the README examples at every level, and exact and approx code,
+cf, transfer and return cases, under four values of CUSPDYN_APPROX_ERR.
+Invocations whose stdout, stderr, exit code or SVG differ are printed
+grouped by subcommand, input kind and outcome.
+"""
+
+import contextlib, io, json, os, pathlib, re, subprocess, sys, tempfile
+from collections import defaultdict
+
+LEVELS = [["--modular"]] + [["--p", p] for p in ("2", "3", "5", "13")]
+ERRS = ("1e-12", "1e-6", "1e-3", "0")
+XS = ["rat:7/3", "rat:-5/7", "rat:1000001/2", "surd:(1+1*sqrt(5))/2", "surd:(-1+1*sqrt(2))/1",
+      "surd:(3+2*sqrt(7))/5", "surd:(1+1*sqrt(2))/7", "inf", "approx:0.3", "approx:0.6", "approx:1e-5",
+      "approx:2.1113077514094725", "approx:-2.420509706659658", "approx:2.20747578431883"]
+YS = ["surd:(0+-1*sqrt(2))/1", "rat:-1/3", "approx:-0.5", "approx:-3.7"]
+
+
+def corpus(readme):
+    for ex in re.findall(r"^cuspdyn (.*?)(?:\s+#.*)?$", readme, re.M):
+        args = [a.strip('"') for a in ex.split()]
+        drop = {j for i, a in enumerate(args) for j in {"--modular": (i,), "--p": (i, i + 1)}.get(a, ())}
+        rest = [a for i, a in enumerate(args) if i not in drop]
+        yield from (rest[:1] + level + rest[1:] for level in (LEVELS if drop else [[]]))
+    for level in LEVELS:
+        for x in XS:
+            yield from (["code", *level, "--x", x, "--steps", "80"], ["code", *level, "--x", x, "--trace"])
+            for y in YS:
+                yield ["code", *level, "--x", x, "--y", y, "--steps", "20", "--past", "20"]
+                yield ["return", *level, "--x", x, "--y", y]
+            for beta, phi in (("1", "one"), ("2", "invx"), ("0.5", "one"), ("300", "invx")):
+                yield ["transfer", *level, "--beta", beta, "--phi", phi, "--x", x]
+    yield from (["cf", "--x", x, "--digits", "12"] for x in XS)
+
+
+def run(readme):
+    from cuspdyn.cli import main
+
+    results, tmp = [], tempfile.TemporaryDirectory()
+    svg = pathlib.Path(tmp.name, "out.svg")
+    for err in ERRS:
+        os.environ["CUSPDYN_APPROX_ERR"] = err
+        for argv in corpus(readme):
+            out, errs = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+                try:
+                    code = main([str(svg) if a.endswith(".svg") else a for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+            picture = svg.read_text() if svg.exists() else None
+            svg.unlink(missing_ok=True)
+            results.append([err, argv, code, out.getvalue(), errs.getvalue(), picture])
+    return results
+
+
+def main():
+    if sys.argv[1] == "--run":
+        return print(json.dumps(run(open(sys.argv[2]).read())))
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    old, new = (json.loads(subprocess.run([sys.executable, __file__, "--run", readme], check=True, text=True,
+                                          capture_output=True, env={**os.environ, "PYTHONPATH": src}).stdout)
+                for src in sys.argv[1:3])
+    groups = defaultdict(list)
+    for a, b in zip(old, new):
+        if a != b:
+            kind = "approx" if any(v.startswith("approx:") for v in a[1]) else "exact"
+            parts = "+".join(n for n, i in (("stdout", 3), ("stderr", 4), ("svg", 5)) if a[i] != b[i])
+            groups[(a[1][0], kind, f"exit {a[2]} -> {b[2]}", parts)].append(a[:2])
+    print(f"{len(old)} invocations, {sum(map(len, groups.values()))} differ")
+    for key, cases in sorted(groups.items()):
+        print(f"\n{' | '.join(key)}: {len(cases)}")
+        print("\n".join(f"  CUSPDYN_APPROX_ERR={err} cuspdyn {' '.join(argv)}" for err, argv in cases[:4]))
+
+
+if __name__ == "__main__":
+    main()
