@@ -158,9 +158,8 @@ def cmd_transfer(args) -> int:
     phi = _parse_phi(args.phi)
     x = _value(args, "x")
     beta = _beta(args)
-    exact_beta = int(beta) if beta.is_integer() and beta >= 0 else None
-    use_beta = exact_beta if (exact_beta is not None and x.is_exact() and phi.exact_rule) else beta
-    value = transfer.apply_transfer(table, use_beta, phi, x)
+    # an integral beta >= 0 goes in as an int, so apply_transfer may evaluate exactly
+    value = transfer.apply_transfer(table, int(beta) if beta.is_integer() and beta >= 0 else beta, phi, x)
     out = {"schema": 1, "beta": beta, "phi": args.phi, "x": emit_value(x)}
     if hasattr(value, "to_float"):
         out["value_exact"] = emit_value(value)

@@ -46,6 +46,7 @@ __all__ = [
     "apply_F",
     "code_future",
     "code_two_sided",
+    "on_section",
     "accelerate_to_cf",
     "cusp_witness",
     "continued_fraction_rational",
@@ -535,16 +536,20 @@ def code_future(
     )
 
 
-def _in_branch_pair(rec: BranchRecord, y: BoundaryValue) -> bool:
-    """Membership of the backward endpoint in the branch's product domain,
-    restricted to pairs that have a representative line crossing (backward
-    endpoint left of the branch's representative line).  On the
-    unrestricted product rectangles the backward branch would not be
-    unique; the restriction is exactly the image of the reduced cross
-    section."""
-    if not rec.y_interval.contains(y):
+def on_section(rec: BranchRecord, y: BoundaryValue) -> bool:
+    """Whether (x, y), with x in the branch's interval, lies on the reduced cross section.
+
+    The reduced section holds the pairs with a representative line
+    crossing: y lies beyond rep_line on the side opposite rep_dir.  That
+    is one compare; the printed y_interval is the product rectangle that
+    contains it.  An Approx y that holds the line raises PrecisionExhausted.
+    """
+    if isinstance(y, Infinity):
         return False
-    return rec.rep_dir != +1 or compare(y, Rational(rec.rep_line)) == LESS
+    side = compare(y, Rational(rec.rep_line))
+    if side == EQUAL and isinstance(y, Approx):
+        raise PrecisionExhausted(f"backward endpoint {emit_value(y)} holds the line {rec.rep_line}")
+    return side == -rec.rep_dir
 
 
 def code_two_sided(
@@ -557,15 +562,15 @@ def code_two_sided(
     """Two-sided letters of the pair (x, y) on the reduced section.
 
     Future letters follow the first coordinate; past letters are found by
-    the unique k with (h_k x, h_k y) in the k-th product domain, among the
-    branches whose image contains x.  Finding two such k is an internal
+    the unique k with (h_k x, h_k y) on the reduced section over k, among
+    the branches whose image contains x.  Finding two such k is an internal
     error; finding none ends the past side (weak section behavior), and
-    so does an Approx pair that an h_k maps across its pole.
+    so does an Approx pair that an h_k maps across its pole or onto a
+    representative line.
     """
     if compare(x, y) == EQUAL:
         raise ValueError("geodesic endpoints must be distinct")
-    rec0 = table.branch_of(x)
-    if not rec0.y_interval.contains(y):
+    if not on_section(table.branch_of(x), y):
         raise ValueError("(x, y) is not on the reduced cross section")
 
     future = code_future(table, x, n_future)
@@ -577,7 +582,7 @@ def code_two_sided(
         try:
             for rec in table._covering(*table._locate(cx)):
                 by = rec.h.apply_boundary(cy)
-                if _in_branch_pair(rec, by):
+                if on_section(rec, by):
                     hits.append((rec, rec.h.apply_boundary(cx), by))
         except PrecisionExhausted:
             past_term = Termination("precision-exhausted", step)

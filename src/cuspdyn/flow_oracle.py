@@ -39,7 +39,7 @@ from .exact import (
     emit_value,
     floor_exact,
 )
-from .dynamics import BranchTable, cusp_witness
+from .dynamics import BranchTable, cusp_witness, on_section
 from .moebius import GroupElement, identity
 
 __all__ = [
@@ -212,16 +212,9 @@ class ReturnRecord:
 def canonical_section_point(table: BranchTable, x: BoundaryValue, y: BoundaryValue) -> SectionPoint:
     """The representative crossing used by the reduced section for (x, y)."""
     rec = table.branch_of(x)
-    if not rec.y_interval.contains(y):
+    if not on_section(rec, y):
         raise ValueError("(x, y) is not on the reduced cross section")
-    geod = Geodesic(forward=x, backward=y)
-    line, direction = rec.rep_line, rec.rep_dir
-    if direction == +1 and not compare(y, Rational(line)) == LESS:
-        raise ValueError(
-            "no representative line crossing exists for this pair "
-            f"(backward endpoint {emit_value(y)} is right of {line})"
-        )
-    return SectionPoint(geod, line, direction)
+    return SectionPoint(Geodesic(forward=x, backward=y), rec.rep_line, rec.rep_dir)
 
 
 # --- the cell walk -------------------------------------------------------------

@@ -136,9 +136,6 @@ class HPoint:
     def __setattr__(self, *args):
         raise AttributeError("HPoint is immutable")
 
-    def to_complex(self) -> complex:
-        return complex(float(self.x), float(self.y2) ** 0.5)
-
     def __eq__(self, other):
         return isinstance(other, HPoint) and (self.x, self.y2) == (other.x, other.y2)
 

@@ -57,16 +57,6 @@ def sample_surd_in(
     raise ValueError("interval must be bounded on at least one side")
 
 
-def _rep_constrained_y_interval(table: BranchTable, rec) -> tuple[Fraction | None, Fraction | None]:
-    """y-interval of the branch, narrowed so a representative crossing exists."""
-    lo = None if rec.y_interval.lo is None else rec.y_interval.lo.fr
-    hi = None if rec.y_interval.hi is None else rec.y_interval.hi.fr
-    if rec.rep_dir == +1:
-        cap = rec.rep_line
-        hi = cap if hi is None else min(hi, cap)
-    return lo, hi
-
-
 def sample_section_pair(
     table: BranchTable, rng: random.Random, label=None
 ) -> tuple[BoundaryValue, BoundaryValue]:
@@ -77,7 +67,8 @@ def sample_section_pair(
     x_lo = None if rec.interval.lo is None else rec.interval.lo.fr
     x_hi = None if rec.interval.hi is None else rec.interval.hi.fr
     x = sample_surd_in(rng, x_lo, x_hi, d)
-    y_lo, y_hi = _rep_constrained_y_interval(table, rec)
+    # the reduced section over rec: y beyond rep_line, opposite rep_dir (dynamics.on_section)
+    y_lo, y_hi = (None, rec.rep_line) if rec.rep_dir == +1 else (rec.rep_line, None)
     y = sample_surd_in(rng, y_lo, y_hi, d)
     return x, y
 

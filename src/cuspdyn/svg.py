@@ -1,7 +1,7 @@
 """Deterministic SVG pictures of Ford domains, precells and cells.
 
 Geodesics are drawn as circular-arc path elements, vertical sides as
-lines clipped at a configurable height.  Coordinates are written with a
+lines clipped at a fixed height.  Coordinates are written with a
 fixed 6-decimal precision so identical inputs give byte-identical files.
 """
 
@@ -14,6 +14,8 @@ from .tessellation import FordDomain
 __all__ = ["render_domain_svg"]
 
 _SCALE = 1000.0
+# the drawn window: x in [_X_MIN, _X_MAX], heights up to _Y_CLIP
+_X_MIN, _X_MAX, _Y_CLIP = -0.2, 1.2, 1.2
 
 
 def _fmt(x: float) -> str:
@@ -22,15 +24,14 @@ def _fmt(x: float) -> str:
 
 
 class _Canvas:
-    def __init__(self, x_min: float, x_max: float, y_clip: float):
-        self.x_min, self.x_max, self.y_clip = x_min, x_max, y_clip
+    def __init__(self):
         self.parts: list[str] = []
 
     def sx(self, x: float) -> float:
-        return (x - self.x_min) * _SCALE
+        return (x - _X_MIN) * _SCALE
 
     def sy(self, y: float) -> float:
-        return (self.y_clip - y) * _SCALE
+        return (_Y_CLIP - y) * _SCALE
 
     def line(self, x1, y1, x2, y2, cls):
         self.parts.append(
@@ -52,19 +53,13 @@ class _Canvas:
         )
 
 
-def render_domain_svg(
-    dom: FordDomain,
-    show: str = "precells",
-    x_min: float = -0.2,
-    x_max: float = 1.2,
-    y_clip: float = 1.2,
-) -> str:
+def render_domain_svg(dom: FordDomain, show: str = "precells") -> str:
     """SVG text for the domain with its precell walls or cell arcs."""
     if show not in ("precells", "cells"):
         raise ValueError("show must be 'precells' or 'cells'")
-    cv = _Canvas(x_min, x_max, y_clip)
-    width = _fmt((x_max - x_min) * _SCALE)
-    height = _fmt(y_clip * _SCALE)
+    cv = _Canvas()
+    width = _fmt((_X_MAX - _X_MIN) * _SCALE)
+    height = _fmt(_Y_CLIP * _SCALE)
     cv.parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
@@ -79,7 +74,7 @@ def render_domain_svg(
         ".max{fill:#1f4e79;stroke:none}"
         "</style>"
     )
-    cv.line(x_min, 0.0, x_max, 0.0, "axis")
+    cv.line(_X_MIN, 0.0, _X_MAX, 0.0, "axis")
 
     p = dom.p
     walls = [Fraction(k, p) for k in range(p + 1)]
@@ -88,13 +83,13 @@ def render_domain_svg(
         cv.semicircle(float(s.center), float(s.radius), "sphere")
     if show == "precells":
         for w in walls:
-            cv.line(float(w), 0.0, float(w), y_clip, "wall")
+            cv.line(float(w), 0.0, float(w), _Y_CLIP, "wall")
         for m in dom.maxima:
             cv.dot(float(m.x), float(m.y2) ** 0.5, "max")
     else:
         for left, right in zip(walls, walls[1:]):  # the cells (k/p, (k+1)/p, inf)
-            cv.line(float(left), 0.0, float(left), y_clip, "side")
-            cv.line(float(right), 0.0, float(right), y_clip, "side")
+            cv.line(float(left), 0.0, float(left), _Y_CLIP, "side")
+            cv.line(float(right), 0.0, float(right), _Y_CLIP, "side")
             cv.semicircle(float((left + right) / 2), float((right - left) / 2), "side")
     for v in dom.inner_vertices:
         cv.dot(float(v.x), float(v.y2) ** 0.5, "vertex")

@@ -41,7 +41,6 @@ __all__ = [
     "transfer_two_step_pointwise",
     "functional_equation_residual",
     "collocation_matrix",
-    "collocation_matrix_two_step",
 ]
 
 
@@ -279,13 +278,12 @@ def _bary_coeffs(t: float, tj: np.ndarray, lam: np.ndarray) -> np.ndarray:
 class CollocationOperator:
     """Dense collocation matrix of L_beta in the weighted chart representation."""
 
-    def __init__(self, table: BranchTable, beta, nodes_per_interval: int, two_step: bool = False):
+    def __init__(self, table: BranchTable, beta, nodes_per_interval: int):
         if nodes_per_interval < 4:
             raise ValueError("need at least 4 nodes per interval")
         self.table = table
         self.beta = beta
         self.n = nodes_per_interval
-        self.two_step = two_step
         branches = table.branches
         self.charts = [_chart_for(rec.interval) for rec in branches]
         t, lam = _cheb_nodes(nodes_per_interval)
@@ -293,39 +291,24 @@ class CollocationOperator:
         self.node_x = np.concatenate(
             [np.array([c.x_of_t(tt) for tt in t]) for c in self.charts]
         )
-        self.node_branch = np.concatenate(
-            [np.full(nodes_per_interval, bi) for bi in range(len(branches))]
-        )
         self.node_weight = np.concatenate(
             [np.array([c.weight(x) for x in self.node_x[bi * self.n : (bi + 1) * self.n]])
              for bi, c in enumerate(self.charts)]
         )
-        complex_beta = isinstance(beta, complex)
         size = len(self.node_x)
-        M = np.zeros((size, size), dtype=complex if complex_beta else float)
-
-        # contained[m]: the branches k whose image contains interval m
-        ks = range(len(branches))
-        contained = [[k for k in ks if m in table.follows(k)] for m in ks]
-        for i in range(size):
-            m = int(self.node_branch[i])
-            xi = self.node_x[i]
-            Wi = self.node_weight[i]
-            for k in contained[m]:
-                if not two_step:
-                    self._accumulate(M, i, xi, Wi, k, 1.0)
-                else:
-                    hk = branches[k].h
-                    qf = (hk.a * xi + hk.b) / (hk.c * xi + hk.d)
-                    wk = _power(1.0 / (hk.c * xi + hk.d) ** 2, beta)
-                    for j in contained[k]:
-                        self._accumulate(M, i, qf, Wi, j, wk)
+        M = np.zeros((size, size), dtype=complex if isinstance(beta, complex) else float)
+        # each row of interval m gets one block per branch k whose image contains m;
+        # every block is written once, so the loop order does not change a bit
+        for k in range(len(branches)):
+            for m in table.follows(k):
+                for row in range(m * self.n, (m + 1) * self.n):
+                    self._accumulate(M, row, k)
         self.matrix = M
 
-    def _accumulate(self, M, row: int, x: float, W_row: float, k: int, prefactor):
-        rec = self.table.branches[k]
-        h = rec.h
-        w = _power(1.0 / (h.c * x + h.d) ** 2, self.beta) * prefactor
+    def _accumulate(self, M, row: int, k: int):
+        h = self.table.branches[k].h
+        x = self.node_x[row]
+        w = _power(1.0 / (h.c * x + h.d) ** 2, self.beta)
         q = (h.a * x + h.b) / (h.c * x + h.d)
         chart = self.charts[k]
         tq = chart.t_of_x(q)
@@ -333,7 +316,7 @@ class CollocationOperator:
             raise AssertionError("branch image point escaped its chart")
         coeffs = _bary_coeffs(tq, self._t, self._lam)
         Wq = chart.weight(q)
-        M[row, k * self.n : (k + 1) * self.n] += w * (W_row / Wq) * coeffs
+        M[row, k * self.n : (k + 1) * self.n] += w * (self.node_weight[row] / Wq) * coeffs
 
     # --- application and spectra -------------------------------------------
 
@@ -356,24 +339,7 @@ class CollocationOperator:
         vals = sorted(vals, key=lambda z: (-abs(z), -z.real, -z.imag))
         return vals[:k]
 
-    def power_iteration(self, iters: int = 200, seed: int = 0) -> tuple[complex, np.ndarray]:
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(len(self.node_x))
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(iters):
-            w = self.matrix @ v
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                return 0.0, v
-            v = w / nw
-            lam = v @ (self.matrix @ v)
-        return lam, v
-
 
 def collocation_matrix(table: BranchTable, beta, nodes_per_interval: int) -> CollocationOperator:
     return CollocationOperator(table, beta, nodes_per_interval)
 
-
-def collocation_matrix_two_step(table: BranchTable, beta, nodes_per_interval: int) -> CollocationOperator:
-    return CollocationOperator(table, beta, nodes_per_interval, two_step=True)

@@ -290,6 +290,23 @@ def test_past_side_ends_where_an_approx_straddles_a_pole(capsys):
     assert json.loads(out)["past_termination"] == {"kind": "precision-exhausted", "step": 1}
 
 
+def test_past_side_ends_where_an_approx_holds_the_representative_line(capsys):
+    argv = ("code", "--p", "5", "--x", "surd:(-1+1*sqrt(2))/1", "--y", "approx:-0.5", "--past", "10")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["past_termination"] == {"kind": "precision-exhausted", "step": 2}
+
+
+@pytest.mark.parametrize("extra", [("code", "--past", "5"), ("return",)])
+def test_pair_off_the_representative_line_is_an_argument_error(capsys, extra):
+    # y lies in branch 5's product rectangle but right of its representative line 4/5
+    code = main([extra[0], "--p", "5", "--x", "surd:(5+1*sqrt(2))/2", "--y", "surd:(1+1*sqrt(2))/3", *extra[1:]])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_exact_value_past_float_range_of_its_integers(capsys):
     code, out = run_cli(capsys, "transfer", "--p", "13", "--beta", "300", "--phi", "invx",
                         "--x", "surd:(1+1*sqrt(2))/7")

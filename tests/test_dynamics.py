@@ -24,8 +24,9 @@ from cuspdyn.dynamics import (
     continued_fraction_surd,
     cusp_witness,
     modular_table,
+    on_section,
 )
-from cuspdyn.exact import INF, Approx, Rational, Surd, compare, emit_value, normalize_surd
+from cuspdyn.exact import INF, LESS, Approx, Rational, Surd, compare, emit_value, normalize_surd
 from cuspdyn.moebius import GroupElement
 from cuspdyn.sampling import SQUAREFREE, sample_surd_in
 
@@ -237,6 +238,7 @@ def test_code_two_sided_rejects_bad_pairs():
 
 def test_past_branch_uniqueness_sampled():
     rng = random.Random(23)
+    off = 0
     for p in (2, 3, 5):
         t = branch_table(p)
         for _ in range(40):
@@ -248,8 +250,15 @@ def test_past_branch_uniqueness_sampled():
             ylo = None if rec.y_interval.lo is None else rec.y_interval.lo.fr
             yhi = None if rec.y_interval.hi is None else rec.y_interval.hi.fr
             y = sample_surd_in(rng, ylo, yhi, d)
+            if rec.rep_dir == +1 and compare(y, Rational(rec.rep_line)) != LESS:
+                # in the product rectangle, but with no representative line crossing
+                off += 1
+                with pytest.raises(ValueError):
+                    code_two_sided(t, x, y, 3, 5)
+                continue
             # raises AssertionError if a backward step ever has two branches
             code_two_sided(t, x, y, 3, 5)
+    assert off == 4
 
 
 def test_accelerate_examples():
@@ -394,6 +403,33 @@ def test_inverse_branches_match_image_scan(t):
                 t.inverse_branches(x)
         else:
             assert t.inverse_branches(x) == want, x
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_on_section_matches_rectangle_and_line(t):
+    # the reduced section as the product rectangle cut at the representative line
+    def reference(rec, y):
+        below = rec.rep_dir != +1 or compare(y, Rational(rec.rep_line)) == LESS
+        return rec.y_interval.contains(y) and below
+
+    rng = random.Random(47)
+    ys = [y for y in _partition_points(t, rng) if not isinstance(y, Approx)]
+    for rec in t.branches:
+        line = rec.rep_line
+        ys += [Rational(line), sample_surd_in(rng, line - 1, line, 2), sample_surd_in(rng, line, line + 1, 3)]
+    for rec in t.branches:
+        for y in ys:
+            assert on_section(rec, y) == reference(rec, y), (rec.label, y)
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_on_section_refuses_an_approx_on_the_line(t):
+    for rec in t.branches:
+        line = float(rec.rep_line)
+        with pytest.raises(PrecisionExhausted):
+            on_section(rec, Approx(line, 1e-9))
+        assert on_section(rec, Approx(line - rec.rep_dir, 1e-9)) is True
+        assert on_section(rec, Approx(line + rec.rep_dir, 1e-9)) is False
 
 
 def _contained(inner, outer):

@@ -3,8 +3,9 @@
     python tools/cli_corpus.py OLD/src NEW/src
 
 Each tree runs in its own process and calls cuspdyn.cli.main for every
-invocation: the README examples at every level, and exact and approx code,
-cf, transfer and return cases, under four values of CUSPDYN_APPROX_ERR.
+invocation: the README examples at every level, exact and approx code,
+cf, transfer and return cases, and spectrum at three node counts and three
+betas, under four values of CUSPDYN_APPROX_ERR.
 Invocations whose stdout, stderr, exit code or SVG differ are printed
 grouped by subcommand, input kind and outcome.
 """
@@ -17,7 +18,7 @@ ERRS = ("1e-12", "1e-6", "1e-3", "0")
 XS = ["rat:7/3", "rat:-5/7", "rat:1000001/2", "surd:(1+1*sqrt(5))/2", "surd:(-1+1*sqrt(2))/1",
       "surd:(3+2*sqrt(7))/5", "surd:(1+1*sqrt(2))/7", "inf", "approx:0.3", "approx:0.6", "approx:1e-5",
       "approx:2.1113077514094725", "approx:-2.420509706659658", "approx:2.20747578431883"]
-YS = ["surd:(0+-1*sqrt(2))/1", "rat:-1/3", "approx:-0.5", "approx:-3.7"]
+YS = ["surd:(0+-1*sqrt(2))/1", "rat:-1/3", "surd:(1+1*sqrt(2))/3", "approx:-0.5", "approx:-3.7"]
 
 
 def corpus(readme):
@@ -34,6 +35,8 @@ def corpus(readme):
                 yield ["return", *level, "--x", x, "--y", y]
             for beta, phi in (("1", "one"), ("2", "invx"), ("0.5", "one"), ("300", "invx")):
                 yield ["transfer", *level, "--beta", beta, "--phi", phi, "--x", x]
+        for nodes in ("8", "16", "32"):
+            yield from (["spectrum", *level, "--nodes", nodes, "--beta", beta] for beta in ("1", "1.5", "0.5"))
     yield from (["cf", "--x", x, "--digits", "12"] for x in XS)
 
 
