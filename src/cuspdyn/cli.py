@@ -55,12 +55,9 @@ def _beta(args) -> float:
 
 def _level(args) -> int:
     """The level: 1 for --modular, else the prime --p; an argument error when neither is given."""
-    if args.modular:
-        return 1
-    if args.p is None:
+    if args.p is None and not args.modular:
         raise SystemExit2("one of --p or --modular is required")
-    tessellation._require_prime(args.p)
-    return args.p
+    return tessellation._level(args.p, args.modular)
 
 
 def _table(args):

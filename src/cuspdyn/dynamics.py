@@ -323,8 +323,7 @@ class BranchTable:
 
 def branch_table(p: int) -> BranchTable:
     """The cusp-expansion branch table for Gamma_0(p)."""
-    _require_prime(p)
-    spheres = _domain(p).spheres  # spheres[k - 1] is |pz - k| = 1
+    spheres = _domain(_require_prime(p)).spheres  # spheres[k - 1] is |pz - k| = 1
     frac = lambda n, d=1: Rational(Fraction(n, d))
     h_neg = GroupElement(-1, 0, p, -1)
     records = []

@@ -37,9 +37,12 @@ __all__ = [
 _MAX_REDUCE_STEPS = 10**6
 
 
-def _require_prime(p: int) -> None:
+@functools.cache
+def _require_prime(p: int) -> int:
+    """p, once trial division has shown it prime (once per p); else ValueError."""
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"p = {p} is not prime")
+    return p
 
 
 def group_name(q: int) -> str:
@@ -74,16 +77,22 @@ class FordDomain:
 
     def in_closure(self, z: HPoint) -> bool:
         """Exact membership of z in the closed fundamental domain."""
-        if not (0 <= z.x <= 1):
-            return False
-        return all(s.side(z) >= 0 for s in self.spheres)
+        return 0 <= z.x <= 1 and all(s.side(z) >= 0 for s in self.spheres)
 
     def precell_indices(self, z: HPoint) -> list[int]:
         """Indices k with z in the closed precell A(v_k); empty if outside."""
         if not self.in_closure(z):
             return []
-        p = self.p
-        return [k for k in range(p) if Fraction(k, p) <= z.x <= Fraction(k + 1, p)]
+        f, r = divmod(self.p * z.x.numerator, z.x.denominator)
+        return list(range(max(f - (r == 0), 0), min(f, self.p - 1) + 1))
+
+
+def _in_triangle(q: int, k: int, xn: int, xd: int, yn: int, yd: int, strict: bool) -> bool:
+    """Whether x = xn/xd, y^2 = yn/yd (xd, yd > 0) is in the ideal triangle (k/q, (k+1)/q, inf):
+    k <= qx <= k + 1, and outside the arc on [k/q, (k+1)/q]: (qx - k)(qx - k - 1) + q^2 y^2 >= 0."""
+    lo, hi = q * xn - k * xd, q * xn - (k + 1) * xd
+    t = lo * hi * yd + q * q * yn * xd * xd
+    return lo > 0 > hi and t > 0 if strict else lo >= 0 >= hi and t >= 0
 
 
 @functools.cache
@@ -105,27 +114,16 @@ def _domain(q: int) -> FordDomain:
         if k1 == k + 1
     )
     maxima = tuple(HPoint(Fraction(k, q), Fraction(1, q * q)) for k in ks if 0 < k < q)
-    return FordDomain(
-        p=q,
-        spheres=tuple(spheres),
-        vertex_0=Fraction(0),
-        vertex_last=Fraction(1),
-        inner_vertices=inner,
-        maxima=maxima,
-    )
+    return FordDomain(q, tuple(spheres), Fraction(0), Fraction(1), inner, maxima)
 
 
 def _level(p: int, modular: bool) -> int:
     """The level q of the group: 1 for the modular preset, else the prime p."""
-    if modular:
-        return 1
-    _require_prime(p)
-    return p
+    return 1 if modular else _require_prime(p)
 
 
 def build_domain(p: int) -> FordDomain:
-    _require_prime(p)
-    return _domain(p)
+    return _domain(_require_prime(p))
 
 
 def modular_domain() -> FordDomain:
@@ -145,17 +143,8 @@ class Cell:
 
     def contains(self, z: HPoint, strict: bool = False) -> bool:
         """Membership in the (closed or open) triangle; exact."""
-        lo, hi = self.left, self.right
-        if strict:
-            if not (lo < z.x < hi):
-                return False
-        elif not (lo <= z.x <= hi):
-            return False
-        # outside the bottom arc, the semicircle on the diameter [lo, hi]
-        center = (lo + hi) / 2
-        r2 = ((hi - lo) / 2) ** 2
-        t = (z.x - center) ** 2 + z.y2 - r2
-        return t > 0 if strict else t >= 0
+        x, y2 = z.x, z.y2
+        return _in_triangle(self.p, self.k, x.numerator, x.denominator, y2.numerator, y2.denominator, strict)
 
 
 def cell(p: int, k: int, modular: bool = False) -> Cell:
@@ -175,6 +164,34 @@ def cell(p: int, k: int, modular: bool = False) -> Cell:
     return Cell(q, k, Fraction(k, q), Fraction(k + 1, q), decomp)
 
 
+def _reduce(q: int, z: HPoint) -> tuple[tuple[int, int, int, int], int, int, int, bool, int]:
+    """Reduce z at level q on the integer matrix g = (a b; c d) against the fixed input point.
+
+    With x = X/W, y^2 = Y/V, u = aX + bW and v = cX + dW: N = |cz + d|^2 W^2 V =
+    v^2 V + c^2 Y W^2 and R = Re(gz) N = u v V + a c Y W^2.  gz is strictly inside
+    (on) the sphere of s when N is smaller (equal) at s g.  Returns
+    ((a, b, c, d), R, N, H, on_sphere, rounds), where gz = R/N + i sqrt(H)/N.
+    """
+    X, W, Y, V = z.x.numerator, z.x.denominator, z.y2.numerator, z.y2.denominator
+    K, elements = Y * W * W, [s.element for s in _domain(q).spheres]
+    a, b, c, d, u, v, N, R = 1, 0, 0, 1, X, W, W * W * V, X * W * V
+    for rounds in range(1, _MAX_REDUCE_STEPS + 1):
+        n = R // N
+        a, b, u, R = a - n * c, b - n * d, u - n * v, R - n * N
+        on_sphere = False
+        for e in elements:
+            c1, v1 = e.c * a + e.d * c, e.c * u + e.d * v
+            n1 = v1 * v1 * V + c1 * c1 * K
+            if n1 < N:
+                break
+            on_sphere = on_sphere or n1 == N
+        else:
+            return (a, b, c, d), R, N, K * W * W * V, on_sphere, rounds
+        a, b, c, d, u, v = e.a * a + e.b * c, e.a * b + e.b * d, c1, e.c * b + e.d * d, e.a * u + e.b * v, v1
+        N, R = n1, u * v * V + a * c * K
+    raise ArithmeticError("reduction did not terminate; arithmetic precision failure?")
+
+
 def reduce_point(p: int, z: HPoint, modular: bool = False) -> tuple[GroupElement, HPoint]:
     """Move z into the closed fundamental domain.
 
@@ -183,26 +200,15 @@ def reduce_point(p: int, z: HPoint, modular: bool = False) -> tuple[GroupElement
     height strictly increases on every sphere step, which forces
     termination; boundary points are left in place.
     """
-    g, z, _ = reduce_point_detailed(p, z, modular=modular)
-    return g, z
+    return reduce_point_detailed(p, z, modular=modular)[:2]
 
 
 def reduce_point_detailed(
     p: int, z: HPoint, modular: bool = False
 ) -> tuple[GroupElement, HPoint, int]:
     """reduce_point plus the number of sphere/translation rounds used."""
-    spheres = _domain(_level(p, modular)).spheres
-    g = identity()
-    for step in range(_MAX_REDUCE_STEPS):
-        n = z.x.numerator // z.x.denominator  # floor
-        if n != 0:
-            t = GroupElement(1, -n, 0, 1)
-            g, z = t * g, t.apply_hpoint(z)
-        inside = next((s.element for s in spheres if s.side(z) < 0), None)
-        if inside is None:
-            return g, z, step + 1
-        g, z = inside * g, inside.apply_hpoint(z)
-    raise ArithmeticError("reduction did not terminate; arithmetic precision failure?")
+    g, R, N, H, _, rounds = _reduce(_level(p, modular), z)
+    return GroupElement(*g), HPoint(Fraction(R, N), Fraction(H, N * N)), rounds
 
 
 def locate_cell(
@@ -213,17 +219,15 @@ def locate_cell(
     boundary is True when z sits on a precell wall or sphere, in which
     case either adjacent cell may be reported.
     """
-    g_red, w = reduce_point(p, z, modular=modular)
-    dom = _domain(_level(p, modular))
-    ks = dom.precell_indices(w)
-    if not ks:
+    q = _level(p, modular)
+    (a, b, c, d), R, N, H, on_sphere, _ = _reduce(q, z)
+    if not 0 <= R < N:
         raise AssertionError("reduced point escaped the closed domain")
-    k = ks[0]
-    # on a wall shared by two precells, on a side wall Re = 0 or 1, or on a sphere arc
-    boundary = len(ks) > 1 or w.x == 0 or w.x == 1 or any(s.side(w) == 0 for s in dom.spheres)
-    if not cell(p, k, modular=modular).contains(w):
+    f, r = divmod(q * R, N)
+    k = max(f - (r == 0), 0)  # the first precell holding the reduced point
+    if not _in_triangle(q, k, R, N, H, N * N, strict=False):
         raise AssertionError("precell slice fell outside its cell triangle")
-    return g_red.inv(), k, boundary
+    return GroupElement(d, -b, -c, a), k, r == 0 or on_sphere
 
 
 def domain_to_json(dom: FordDomain) -> dict:

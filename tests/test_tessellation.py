@@ -1,13 +1,16 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from cuspdyn.exact import INF, Rational
-from cuspdyn.moebius import GroupElement, HPoint
+from cuspdyn.moebius import GroupElement, HPoint, identity
 from cuspdyn.svg import render_domain_svg
 from cuspdyn.tessellation import (
+    _MAX_REDUCE_STEPS,
+    _domain,
     build_domain,
     cell,
     domain_to_json,
@@ -297,6 +300,173 @@ def test_modular_reduction_pinned(z, reduced, located):
     assert (g.key(), w, rounds) == reduced
     gc, k, boundary = locate_cell(1, z, modular=True)
     assert (gc.key(), k, boundary) == located
+
+
+# the same for Gamma_0(5)
+_GAMMA0_5_PINS = [
+    (HPoint(Fraction(1, 2), Fraction(1, 100)),  # onto the maximum of I_1
+     ((2, -1, 5, -2), HPoint(Fraction(1, 5), Fraction(1, 25)), 2), ((2, -1, 5, -2), 0, True)),
+    (HPoint(Fraction(3, 10), Fraction(1, 400)),
+     ((3, -1, 10, -3), HPoint(Fraction(3, 10), Fraction(1, 25)), 3), ((3, -1, 10, -3), 1, False)),
+    (HPoint(Fraction(2, 5), Fraction(1, 36)),  # onto the wall x = 2/5
+     ((2, -1, 5, -2), HPoint(Fraction(2, 5), Fraction(36, 625)), 2), ((2, -1, 5, -2), 1, True)),
+    (HPoint(Fraction(-7, 5), Fraction(1, 4)),
+     ((1, 2, 0, 1), HPoint(Fraction(3, 5), Fraction(1, 4)), 1), ((1, -2, 0, 1), 2, True)),
+    (GroupElement(2, 1, 5, 3).apply_hpoint(HPoint(Fraction(1, 5), Fraction(1, 25))),
+     ((-3, 1, 5, -2), HPoint(Fraction(1, 5), Fraction(1, 25)), 4), ((2, 1, 5, 3), 0, True)),
+    (HPoint(Fraction(-31, 13), Fraction(1, 10**6)),
+     ((13, 31, 5, 12), HPoint(Fraction(2197, 200845), Fraction(45697600, 1613548561)), 2),
+     ((-12, 31, 5, -13), 0, False)),
+]
+
+
+@pytest.mark.parametrize("z, reduced, located", _GAMMA0_5_PINS)
+def test_gamma0_5_reduction_pinned(z, reduced, located):
+    g, w, rounds = reduce_point_detailed(5, z)
+    assert (g.key(), w, rounds) == reduced
+    gc, k, boundary = locate_cell(5, z)
+    assert (gc.key(), k, boundary) == located
+
+
+def _sphere_sign(g, z):
+    """Sign of |cz + d|^2 - 1 in Fractions."""
+    t = (g.c * z.x + g.d) ** 2 + g.c * g.c * z.y2 - 1
+    return (t > 0) - (t < 0)
+
+
+def _reduce_by_fraction(q, z):
+    """The reduction with one apply_hpoint per step: the reference for the integer loop."""
+    elements = [s.element for s in _domain(q).spheres]
+    g = identity()
+    for step in range(_MAX_REDUCE_STEPS):
+        n = math.floor(z.x)
+        if n != 0:
+            t = GroupElement(1, -n, 0, 1)
+            g, z = t * g, t.apply_hpoint(z)
+        inside = next((s for s in elements if _sphere_sign(s, z) < 0), None)
+        if inside is None:
+            return g, z, step + 1
+        g, z = inside * g, inside.apply_hpoint(z)
+    raise ArithmeticError("reduction did not terminate")
+
+
+def _locate_by_fraction(q, z):
+    """Cell location read off the Fraction reduction: first precell, wall or sphere boundary."""
+    g, w, _ = _reduce_by_fraction(q, z)
+    ks = [k for k in range(q) if Fraction(k, q) <= w.x <= Fraction(k + 1, q)]
+    on_sphere = any(_sphere_sign(s.element, w) == 0 for s in _domain(q).spheres)
+    return g.inv(), ks[0], len(ks) > 1 or w.x in (0, 1) or on_sphere
+
+
+def _contains_by_fraction(q, k, z, strict):
+    """The closed or open ideal triangle (k/q, (k+1)/q, inf) in Fractions."""
+    lo, hi = Fraction(k, q), Fraction(k + 1, q)
+    t = (z.x - (lo + hi) / 2) ** 2 + z.y2 - ((hi - lo) / 2) ** 2
+    return lo < z.x < hi and t > 0 if strict else lo <= z.x <= hi and t >= 0
+
+
+def _gamma0_word(rng, q, length):
+    gens = [GroupElement(1, 1, 0, 1)] + [s.element for s in _domain(q).spheres]
+    g = identity()
+    for _ in range(length):
+        h = rng.choice(gens)
+        g = g * (h if rng.random() < 0.5 else h.inv())
+    return g
+
+
+def _differential_points(rng, q, count):
+    """Random points, wall points, inner vertices and maxima, and Gamma_0(q)-translates."""
+    dom = _domain(q)
+    special = [HPoint(Fraction(k, q) + rng.randint(-2, 2), Fraction(rng.randint(1, 10**6), 10**6))
+               for k in range(q + 1)]
+    special += list(dom.inner_vertices) + list(dom.maxima)
+    points = []
+    for i in range(count):
+        if i % 3 == 0:
+            z = HPoint(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+                       Fraction(rng.randint(1, 10**6), 10**rng.randint(0, 16)))  # heights down to 1e-8
+        else:
+            z = rng.choice(special)
+            if i % 3 == 2:
+                z = _gamma0_word(rng, q, rng.randint(1, 6)).apply_hpoint(z)
+        points.append(z)
+    return points
+
+
+def _level_args(q):
+    return dict(modular=True) if q == 1 else {}
+
+
+@pytest.mark.parametrize("q", (1, 2, 3, 5, 7, 13))
+def test_reduction_matches_fraction_reference(q):
+    rng = random.Random(1100 + q)
+    kw, boundary = _level_args(q), 0
+    for z in _differential_points(rng, q, 150):
+        g, w, rounds = reduce_point_detailed(q, z, **kw)
+        g0, w0, rounds0 = _reduce_by_fraction(q, z)
+        assert (g.key(), w, rounds) == (g0.key(), w0, rounds0), z
+        gc, k, b = locate_cell(q, z, **kw)
+        gc0, k0, b0 = _locate_by_fraction(q, z)
+        assert (gc.key(), k, b) == (gc0.key(), k0, b0), z
+        boundary += b
+        # the integer triangle rule and precell slicing against Fractions
+        dom = _domain(q)
+        ks = [j for j in range(q) if Fraction(j, q) <= z.x <= Fraction(j + 1, q)]
+        assert dom.precell_indices(z) == (ks if dom.in_closure(z) else [])
+        assert dom.precell_indices(w) == [j for j in range(q) if Fraction(j, q) <= w.x <= Fraction(j + 1, q)]
+        for j in range(q):
+            for strict in (False, True):
+                want = [_contains_by_fraction(q, j, v, strict) for v in (z, w)]
+                assert [cell(q, j, **kw).contains(v, strict) for v in (z, w)] == want
+    assert 0 < boundary < 150
+
+
+def test_reduction_extreme_inputs():
+    tiny = Fraction(1, 10**200)
+    for q, z in [
+        (5, HPoint(Fraction(1, 3), tiny)),
+        (13, HPoint(Fraction(10**100 + 1, 7**120), tiny)),
+        (1, HPoint(Fraction(2, 7), tiny)),
+        (5, HPoint(10**300, 1)),
+        (2, HPoint(Fraction(-(10**300), 3), Fraction(1, 10**6))),
+        (7, HPoint(10**300 + Fraction(3, 7), tiny)),
+    ]:
+        kw = _level_args(q)
+        g, w, rounds = reduce_point_detailed(q, z, **kw)
+        assert rounds < _MAX_REDUCE_STEPS
+        g0, w0, rounds0 = _reduce_by_fraction(q, z)
+        assert (g.key(), w, rounds) == (g0.key(), w0, rounds0)
+        gc, k, b = locate_cell(q, z, **kw)
+        gc0, k0, b0 = _locate_by_fraction(q, z)
+        assert (gc.key(), k, b) == (gc0.key(), k0, b0)
+
+
+def test_reduction_builds_one_element_per_call_and_applies_none(monkeypatch):
+    counts = {"init": 0, "apply": 0}
+    init, apply = GroupElement.__init__, GroupElement.apply_hpoint
+
+    def counting_init(self, *args):
+        counts["init"] += 1
+        init(self, *args)
+
+    def counting_apply(self, z):
+        counts["apply"] += 1
+        return apply(self, z)
+
+    # 3/20 at height 10 is reduced; x = 10^100/7^120 near the axis takes 185 rounds
+    short = HPoint(Fraction(3, 20), 100)
+    long = HPoint(Fraction(10**100 + 1, 7**120), Fraction(1, 10**200))
+    _domain(5), reduce_point_detailed(5, short)  # fill the level caches first
+    monkeypatch.setattr(GroupElement, "__init__", counting_init)
+    monkeypatch.setattr(GroupElement, "apply_hpoint", counting_apply)
+    seen = []
+    for z in (short, long):
+        counts.update(init=0, apply=0)
+        rounds = reduce_point_detailed(5, z)[2]
+        locate_cell(5, z)
+        seen.append((counts["init"], counts["apply"], rounds))
+    assert [s[:2] for s in seen] == [(2, 0), (2, 0)]
+    assert seen[0][2] == 1 and seen[1][2] == 185
 
 
 def test_domain_json_and_matrix_grammar():
