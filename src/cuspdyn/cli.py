@@ -100,8 +100,14 @@ def cmd_code(args) -> int:
         y = _value(args, "y")
         seq = dynamics.code_two_sided(table, x, y, args.steps, past)
     else:
-        seq = dynamics.code_future(table, x, args.steps, keep_states=args.trace)
-    _dump(seq.to_json())
+        seq = dynamics.code_future(table, x, args.steps)
+    out = seq.to_json()
+    if args.trace and args.y is None:
+        states = [x]
+        for label in seq.letters:
+            states.append(table.branch(label).apply(states[-1]))
+        out["states"] = [emit_value(s) for s in states]
+    _dump(out)
     return 0
 
 

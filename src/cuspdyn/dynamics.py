@@ -27,9 +27,10 @@ from .exact import (
     ceil_moebius,
     compare,
     emit_value,
+    floor_exact,
 )
 from .moebius import GroupElement
-from .tessellation import _domain, _require_prime, group_name
+from .tessellation import _domain, _require_prime, group_name, matrix_literal
 
 __all__ = [
     "NEG_INF_LABEL",
@@ -121,8 +122,6 @@ class BranchRecord:
         return self.h_inv.apply_boundary(x)
 
     def to_json(self) -> dict:
-        from .tessellation import matrix_literal
-
         return {
             "label": label_to_json(self.label),
             "interval": self.interval.to_json(),
@@ -194,7 +193,7 @@ class BranchTable:
 
     p: int
     branches: tuple[BranchRecord, ...]
-    _by_label: dict = field(repr=False, default_factory=dict)
+    _by_label: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _cuts: tuple = field(init=False, repr=False, compare=False)
     _at: tuple = field(init=False, repr=False, compare=False)
     _images: tuple = field(init=False, repr=False, compare=False)
@@ -269,12 +268,12 @@ class BranchTable:
         if isinstance(x, Infinity):
             raise CuspPointError(x, "inf", None)
         if isinstance(x, Rational) and self.p > 1:
-            raise CuspPointError(x, *cusp_witness(self.p, x.fr))
+            raise CuspPointError(x, *cusp_witness(self.p, x))
         pos = self._locate(x)[0]
         if self._at[pos] is not None:
             return self.branches[self._at[pos]]
         if isinstance(x, Rational):  # the slow map runs on rationals until a branch endpoint
-            raise CuspPointError(x, *cusp_witness(self.p, x.fr))
+            raise CuspPointError(x, *cusp_witness(self.p, x))
         if not isinstance(x, Approx):
             raise OutsideDomainError(f"{emit_value(x)} is outside the table domain")
         if pos % 2:
@@ -356,7 +355,7 @@ def modular_table() -> BranchTable:
     ))
 
 
-def cusp_witness(p: int, r: Fraction) -> tuple[str, GroupElement]:
+def cusp_witness(p: int, r: Rational | Fraction) -> tuple[str, GroupElement]:
     """Classify a rational in the cusp orbit and exhibit the witness element.
 
     For Gamma_0(p), r = num/den is in the orbit of inf iff p | den (the
@@ -365,33 +364,12 @@ def cusp_witness(p: int, r: Fraction) -> tuple[str, GroupElement]:
     """
     num, den = r.numerator, r.denominator
     if den % p == 0:
-        # witness g with g r = inf: pole at r, i.e. row (c d) = (-den, num)
-        a, b = _bezout(num, den)
-        g = GroupElement(a, b, -den, num)
-        return "inf", g
+        # witness g with g r = inf: pole at r, i.e. row (c d) = (-den, num); solve a*num + b*den = 1
+        a = pow(num, -1, den)
+        return "inf", GroupElement(a, (1 - a * num) // den, -den, num)
     # witness g with g r = 0: top row (den, -num); solve den*d + num*p*c1 = 1
-    d, c1 = _bezout(den, num * p)
-    g = GroupElement(den, -num, p * c1, d)
-    return "zero", g
-
-
-def _bezout(u: int, v: int) -> tuple[int, int]:
-    """(x, y) with u*x + v*y = 1 for coprime u, v.
-
-    Extended Euclid as a loop: the continued fraction of u/v may be
-    thousands of terms long (consecutive Fibonacci numbers).
-    """
-    r0, r1, x0, x1, y0, y1 = u, v, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if r0 == 1:
-        return x0, y0
-    if r0 == -1:
-        return -x0, -y0
-    raise ValueError(f"{u} and {v} are not coprime")
+    c1 = pow(num * p, -1, den)
+    return "zero", GroupElement(den, -num, p * c1, (1 - num * p * c1) // den)
 
 
 def apply_F(table: BranchTable, x: BoundaryValue) -> tuple[BoundaryValue, float | int]:
@@ -433,7 +411,6 @@ class CodingSequence:
     termination: Termination
     origin: int = 0
     past_termination: Termination | None = None
-    states: tuple | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -445,17 +422,10 @@ class CodingSequence:
         }
         if self.past_termination is not None:
             out["past_termination"] = self.past_termination.to_json()
-        if self.states is not None:
-            out["states"] = [emit_value(s) for s in self.states]
         return out
 
 
-def code_future(
-    table: BranchTable,
-    x: BoundaryValue,
-    max_steps: int,
-    keep_states: bool = False,
-) -> CodingSequence:
+def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingSequence:
     """Forward letters of x, with exact-state period detection.
 
     Each step of the loop takes one letter, or in a parabolic branch that
@@ -463,7 +433,9 @@ def code_future(
     ceiling and its end one Moebius image (see _parabolic_run).  An Approx
     state runs as far as its shorter end does.  A period is reported only
     when an orbit state repeats exactly; letter-window heuristics are
-    never used.  Termination reasons are data, not errors.
+    never used.  Termination reasons are data, not errors.  Only the
+    letters are kept: the orbit state after letters[:k] is x replayed
+    through table.branch(label).apply for each of them.
 
     States are looked up at step starts.  The first repeat there comes
     exactly one period after the earlier state, and the minimal preperiod
@@ -480,7 +452,6 @@ def code_future(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     letters: list = []
-    states: list = [x]
     seen: dict = {x: 0}
     repeated: set = set()  # letters that have run more than once
     term = None
@@ -509,9 +480,6 @@ def code_future(
             if n > 1:
                 repeated.add(rec.label)
         letters.extend([rec.label] * min(n, 2 * max_steps - pos))
-        if keep_states:
-            for _ in range(min(n, max_steps - pos)):
-                states.append(rec.apply(states[-1]))
         pos, cur = pos + n, nxt
         t = seen.setdefault(cur, pos)
         if t != pos:
@@ -531,7 +499,6 @@ def code_future(
         table_kind=table.name,
         letters=tuple(letters),
         termination=term,
-        states=tuple(states[: len(letters) + 1]) if keep_states else None,
     )
 
 
@@ -712,8 +679,6 @@ def continued_fraction_rational(r: Fraction) -> list[int]:
 
 def continued_fraction_surd(x: Surd) -> tuple[list[int], list[int]]:
     """(preperiod, period) CF digits of a quadratic surd, exactly."""
-    from .exact import floor_exact
-
     seen: dict = {}
     digits: list[int] = []
     cur: BoundaryValue = x

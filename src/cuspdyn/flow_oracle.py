@@ -39,8 +39,9 @@ from .exact import (
     emit_value,
     floor_exact,
 )
-from .dynamics import BranchTable, cusp_witness, on_section
+from .dynamics import BranchTable, cusp_witness, label_to_json, on_section
 from .moebius import GroupElement, identity
+from .tessellation import matrix_literal
 
 __all__ = [
     "Geodesic",
@@ -124,6 +125,11 @@ class CrossingPoint:
         return {"re": emit_value(self.re), "height2": emit_value(self.height2)}
 
 
+def _crossing(geod: Geodesic, c: BoundaryValue) -> CrossingPoint:
+    """The geodesic's point over Re = c, with squared height (c - y)(x - c)."""
+    return CrossingPoint(c, (c - geod.backward) * (geod.forward - c))
+
+
 @dataclass(frozen=True)
 class SectionPoint:
     """A transversal crossing of the geodesic with a representative line."""
@@ -145,10 +151,7 @@ class SectionPoint:
             raise ValueError("geodesic does not cross the line transversally in that direction")
 
     def crossing(self) -> CrossingPoint:
-        x, y = self.geodesic.forward, self.geodesic.backward
-        line = Rational(self.line)
-        h2 = (line - y) * (x - line)
-        return CrossingPoint(line, h2)
+        return _crossing(self.geodesic, Rational(self.line))
 
     def to_json(self) -> dict:
         return {
@@ -174,8 +177,7 @@ def intersect_vertical(geod: Geodesic, a) -> CrossingPoint | None | Contained:
         return None
     if cx == cy:  # same side of both endpoints
         return None
-    h2 = (ra - y) * (x - ra)
-    return CrossingPoint(ra, h2)
+    return _crossing(geod, ra)
 
 
 # --- return records ------------------------------------------------------------
@@ -193,9 +195,6 @@ class ReturnRecord:
     interior_crossings: tuple[CrossingPoint, ...]
 
     def to_json(self) -> dict:
-        from .dynamics import label_to_json
-        from .tessellation import matrix_literal
-
         return {
             "schema": 1,
             "letter": label_to_json(self.letter) if self.letter is not None else None,
@@ -272,7 +271,7 @@ def _labels(table: BranchTable, ends: tuple[BoundaryValue, BoundaryValue]) -> li
         if isinstance(e, Infinity):
             w = identity()
         else:
-            orbit, w = cusp_witness(table.p, e.fr)
+            orbit, w = cusp_witness(table.p, e)
             if orbit != "inf":
                 continue
         r = w.apply_boundary(o)
@@ -312,18 +311,15 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
         ok = rec is not None and (rec.h, rec.rep_line, rec.rep_dir) == (ginv, base, direction)
     letter = rec.label if ok else None
 
-    def at(c: BoundaryValue) -> CrossingPoint:
-        return CrossingPoint(c, (c - y) * (x - c))
-
     return ReturnRecord(
         letter=letter,
         translate=g,
         line=base,
         direction=direction,
-        crossing=at(pos),
+        crossing=_crossing(geod, pos),
         renormalized=SectionPoint(Geodesic(forward=xt, backward=yt), base, direction),
         interior_first=bool(interiors),
-        interior_crossings=tuple(at(c) for c in interiors),
+        interior_crossings=tuple(_crossing(geod, c) for c in interiors),
     )
 
 

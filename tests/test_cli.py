@@ -172,7 +172,7 @@ def test_cusp_input_reports_cleanly(capsys):
 
 
 def test_cusp_input_with_long_continued_fraction(capsys):
-    # consecutive Fibonacci numbers (627 digits): 3000 Euclid steps for the witness
+    # consecutive Fibonacci numbers (627 digits): the witness comes from one modular inverse
     a, b = 0, 1
     for _ in range(2999):
         a, b = b, a + b

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from cuspdyn.dynamics import (
     modular_table,
     on_section,
 )
-from cuspdyn.exact import INF, LESS, Approx, Rational, Surd, compare, emit_value, normalize_surd
+from cuspdyn.cli import main
+from cuspdyn.exact import INF, LESS, Approx, Rational, Surd, compare, emit_value, normalize_surd, parse_value
 from cuspdyn.moebius import GroupElement
 from cuspdyn.sampling import SQUAREFREE, sample_surd_in
 
@@ -144,12 +146,29 @@ def test_apply_F_approx_budget():
         apply_F(t5, near)
 
 
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a, b
+
+
 def test_cusp_witness_constructive():
     rng = random.Random(13)
-    for p in (2, 3, 5, 7):
-        for _ in range(25):
-            r = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+    big = lambda: rng.randrange(10**999, 10**1000)
+    fib = _fibonacci(28700)  # about 6,000 digits each
+    for p in (1, 2, 3, 5, 7, 13):
+        rs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(25)]
+        rs += [Fraction(*fib), Fraction(*fib[::-1])]
+        # 1,000-digit numerators and denominators in the orbit of inf (p | den) and of 0
+        rs += [Fraction(rng.choice((-1, 1)) * big(), p * big()) for _ in range(4)]
+        rs += [Fraction(rng.choice((-1, 1)) * big(), p * big() + rng.randint(1, p - 1) if p > 1 else big())
+               for _ in range(4)]
+        assert {r.denominator % p == 0 for r in rs} == ({True} if p == 1 else {True, False})
+        for r in rs:
             orbit, g = cusp_witness(p, r)
+            if r.denominator < 100:  # a Rational gives the witness of its Fraction
+                assert cusp_witness(p, Rational(r)) == (orbit, g)
             assert g.c % p == 0
             img = g.apply_boundary(Rational(r))
             if orbit == "inf":
@@ -468,7 +487,10 @@ def test_markov_check_fails_off_the_partition():
 
 
 def _code_future_by_letter(t, x, max_steps, keep_states=False):
-    """The coding with one apply_F per letter: the reference for code_future's run jumps."""
+    """The coding with one apply_F per letter: the reference for code_future's run jumps.
+
+    With keep_states it returns the coding and its orbit states, x first.
+    """
     letters, states, term = [], [x], None
     seen = {x: 0} if x.is_exact() else {}
     for step in range(max_steps):
@@ -490,8 +512,8 @@ def _code_future_by_letter(t, x, max_steps, keep_states=False):
             seen[nxt] = step + 1
     if term is None:
         term = Termination("step-cap", len(letters))
-    return CodingSequence(t.name, tuple(letters), term,
-                          states=tuple(states[: len(letters) + 1]) if keep_states else None)
+    seq = CodingSequence(t.name, tuple(letters), term)
+    return (seq, states) if keep_states else seq
 
 
 def _jump_inputs(t, rng):
@@ -516,9 +538,25 @@ def test_jump_coding_matches_letter_loop(t):
         caps = {1, 2, 3, pre, pre + 1, pre + per - 1, pre + per, pre + per + 1, n - 1, n, n + 1,
                 rng.randint(1, n + 2)}
         for cap in sorted(c for c in caps if c >= 1):
-            for keep in (False, True):
-                want = _code_future_by_letter(t, x, cap, keep)
-                assert code_future(t, x, cap, keep) == want, (x, cap, keep)
+            assert code_future(t, x, cap) == _code_future_by_letter(t, x, cap), (x, cap)
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_code_trace_prints_the_letter_loop_states(t, capsys, monkeypatch):
+    monkeypatch.delenv("CUSPDYN_APPROX_ERR", raising=False)
+    level = ["--modular"] if t.p == 1 else ["--p", str(t.p)]
+    surd = "surd:(0+1*sqrt(101))/1"  # starts with a run of 10 letters at every level
+    letters = _code_future_by_letter(t, parse_value(surd), 40).letters
+    inside = [n for n in range(1, len(letters)) if letters[n - 1] == letters[n]]
+    starts = [n for n in range(1, len(letters)) if letters[n - 1] != letters[n]]
+    assert inside and starts
+    cases = [("rat:1000001/2", 7), ("approx:10.04987562112089", 100), (surd, inside[len(inside) // 2]), (surd, starts[0]),
+             (surd, starts[-1]), (surd, inside[-1])]
+    for value, cap in cases:
+        assert main(["code", *level, "--x", value, "--steps", str(cap), "--trace"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        seq, states = _code_future_by_letter(t, parse_value(value, 1e-12), cap, keep_states=True)
+        assert data == {**seq.to_json(), "states": [emit_value(s) for s in states]}, (value, cap)
 
 
 @pytest.mark.parametrize("t", TABLES + [branch_table(p) for p in (7, 11, 17)], ids=lambda t: t.name)
