@@ -54,9 +54,11 @@ def _beta(args) -> float:
 
 
 def _level(args) -> int:
-    """The level: 1 for --modular, else the prime --p; an argument error when neither is given."""
+    """The level: 1 for --modular, else the prime --p; an argument error unless exactly one is given."""
     if args.p is None and not args.modular:
         raise SystemExit2("one of --p or --modular is required")
+    if args.p is not None and args.modular:
+        raise SystemExit2("--p and --modular exclude each other")
     return tessellation._level(args.p, args.modular)
 
 
@@ -102,9 +104,9 @@ def cmd_code(args) -> int:
     else:
         seq = dynamics.code_future(table, x, args.steps)
     out = seq.to_json()
-    if args.trace and args.y is None:
+    if args.trace:
         states = [x]
-        for label in seq.letters:
+        for label in seq.letters[seq.origin :]:
             states.append(table.branch(label).apply(states[-1]))
         out["states"] = [emit_value(s) for s in states]
     _dump(out)
@@ -134,15 +136,9 @@ def cmd_return(args) -> int:
     sp = flow_oracle.canonical_section_point(table, x, y)
     if args.previous:
         rec = flow_oracle.previous_exterior_geometric(sp, table)
-        if rec is None:
-            _dump({"schema": 1, "previous": None})
-            return 0
-        out = rec.to_json()
-        out["previous"] = True
-        _dump(out)
-        return 0
-    rec = flow_oracle.first_return_geometric(sp, table)
-    out = rec.to_json()
+        out = {"schema": 1, "previous": None} if rec is None else {**rec.to_json(), "previous": True}
+    else:
+        out = flow_oracle.first_return_geometric(sp, table).to_json()
     if args.trace:
         out["section_point"] = sp.to_json()
     _dump(out)
@@ -226,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", default=None, help="backward endpoint for two-sided coding")
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--past", type=int, default=10)
-    sp.add_argument("--trace", action="store_true", help="include orbit states")
+    sp.add_argument("--trace", action="store_true", help="include the future orbit states")
     sp.set_defaults(fn=cmd_code)
 
     sp = sub.add_parser("cf", help="continued fraction digits via run-length acceleration")
@@ -240,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="forward endpoint")
     sp.add_argument("--y", required=True, help="backward endpoint")
     sp.add_argument("--previous", action="store_true", help="previous exterior instead of next")
-    sp.add_argument("--trace", action="store_true")
+    sp.add_argument("--trace", action="store_true", help="include the canonical section point")
     sp.set_defaults(fn=cmd_return)
 
     sp = sub.add_parser("conjugacy-check", help="oracle vs generating map comparison")

@@ -648,6 +648,11 @@ def accelerate_to_cf(seq: CodingSequence, max_digits: int = 64) -> CFDigits:
         )
         pre_digits = tuple(n for _, n in _rle(letters[:i]))
         per_digits = tuple(n for _, n in _rle(stream[i : i + per]))
+        # the letters alternate runs, so a minimal letter period holds an even
+        # number of runs: an odd digit period shows up twice over
+        half = len(per_digits) // 2
+        if per_digits[:half] == per_digits[half:]:
+            per_digits = per_digits[:half]
         digits = pre_digits + per_digits
         if len(digits) > max_digits + 1:
             return CFDigits(digits[: max(max_digits, 0)], complete=False)

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .exact import BoundaryValue, Infinity, Rational
+from .exact import BoundaryValue, Infinity, Rational, _coerce
 from .dynamics import BranchTable, Interval
 
 # An exact weight (c x + d)^(-2 beta) has about beta times the digits of
@@ -45,49 +44,36 @@ __all__ = [
 
 
 class DensityFunction:
-    """Density given by a float rule, an optional exact rule, or samples."""
+    """Density given by a float rule and an optional exact rule, or by samples."""
 
     def __init__(
         self,
-        float_rule: Callable[[float], float] | None = None,
+        float_rule: Callable[[float], float],
         exact_rule: Callable[[BoundaryValue], BoundaryValue] | None = None,
-        name: str = "density",
     ):
         self.float_rule = float_rule
         self.exact_rule = exact_rule
-        self.name = name
 
     @classmethod
     def one(cls) -> "DensityFunction":
-        return cls(lambda x: 1.0, lambda v: Rational(1), name="one")
+        return cls(lambda x: 1.0, lambda v: Rational(1))
 
     @classmethod
     def reciprocal(cls) -> "DensityFunction":
-        return cls(lambda x: 1.0 / x, lambda v: v.reciprocal(), name="invx")
+        return cls(lambda x: 1.0 / x, lambda v: v.reciprocal())
 
     @classmethod
-    def from_samples(cls, nodes, values, name: str = "samples") -> "DensityFunction":
+    def from_samples(cls, nodes, values) -> "DensityFunction":
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
             raise ValueError("samples need matching 1-d nodes and values")
         order = np.argsort(nodes)
         nodes, values = nodes[order], values[order]
-
-        def rule(x: float) -> float:
-            return float(np.interp(x, nodes, values))
-
-        return cls(rule, None, name=name)
+        return cls(lambda x: float(np.interp(x, nodes, values)))
 
     def __call__(self, x: float) -> float:
-        if self.float_rule is None:
-            raise ValueError(f"{self.name} has no float rule")
         return self.float_rule(x)
-
-    def exact(self, v: BoundaryValue) -> BoundaryValue:
-        if self.exact_rule is None:
-            raise ValueError(f"{self.name} has no exact rule")
-        return self.exact_rule(v)
 
 
 def _as_density(phi) -> DensityFunction:
@@ -99,13 +85,8 @@ def _as_density(phi) -> DensityFunction:
 
 
 def _to_value(x) -> BoundaryValue:
-    if isinstance(x, BoundaryValue):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Rational(x)
-    if isinstance(x, float):
-        return Rational(Fraction(x))  # floats are exact binary rationals
-    raise TypeError(f"cannot interpret {x!r} as an evaluation point")
+    # floats are exact binary rationals
+    return Rational(Fraction(x)) if isinstance(x, float) else _coerce(x)
 
 
 def apply_transfer(table: BranchTable, beta, phi, x):
@@ -139,7 +120,7 @@ def apply_transfer(table: BranchTable, beta, phi, x):
                     f"the exact weight at beta = {beta} has about {int(digits) + 1} digits, "
                     f"over the bound of {MAX_WEIGHT_DIGITS}"
                 )
-            total = total + _exact_power(fprime, beta) * phi.exact(h.apply_boundary(xv))
+            total = total + _exact_power(fprime, beta) * phi.exact_rule(h.apply_boundary(xv))
         return total
     xf = xv.to_float()
     total = 0.0
@@ -214,45 +195,22 @@ def functional_equation_residual(beta, phi, xs) -> list:
 # --- collocation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Chart:
-    """Moebius chart (0,1) -> branch interval, with weight W = x * dt/dx."""
-
-    kind: str  # "finite" | "upper" | "lower"
-    u: float
-    v: float
-
-    def x_of_t(self, t: float) -> float:
-        if self.kind == "finite":
-            return self.u + (self.v - self.u) * t
-        if self.kind == "upper":
-            return self.u + t / (1.0 - t)
-        return self.v - (1.0 - t) / t
-
-    def t_of_x(self, x: float) -> float:
-        if self.kind == "finite":
-            return (x - self.u) / (self.v - self.u)
-        if self.kind == "upper":
-            return (x - self.u) / (x - self.u + 1.0)
-        return 1.0 / (self.v - x + 1.0)
-
-    def weight(self, x: float) -> float:
-        if self.kind == "finite":
-            return x / (self.v - self.u)
-        if self.kind == "upper":
-            return x / (x - self.u + 1.0) ** 2
-        return x / (self.v - x + 1.0) ** 2
-
-
-def _chart_for(iv: Interval) -> _Chart:
+def _chart(iv: Interval):
+    """Moebius chart (0,1) -> branch interval: the maps x(t), t(x) and the weight W = x * dt/dx."""
     lo = None if iv.lo is None else iv.lo.to_float()
     hi = None if iv.hi is None else iv.hi.to_float()
     if lo is not None and hi is not None:
-        return _Chart("finite", lo, hi)
+        return (lambda t: lo + (hi - lo) * t,
+                lambda x: (x - lo) / (hi - lo),
+                lambda x: x / (hi - lo))
     if lo is not None:
-        return _Chart("upper", lo, math.nan)
+        return (lambda t: lo + t / (1.0 - t),
+                lambda x: (x - lo) / (x - lo + 1.0),
+                lambda x: x / (x - lo + 1.0) ** 2)
     if hi is not None:
-        return _Chart("lower", math.nan, hi)
+        return (lambda t: hi - (1.0 - t) / t,
+                lambda x: 1.0 / (hi - x + 1.0),
+                lambda x: x / (hi - x + 1.0) ** 2)
     raise ValueError("branch interval unbounded on both sides")
 
 
@@ -281,42 +239,31 @@ class CollocationOperator:
     def __init__(self, table: BranchTable, beta, nodes_per_interval: int):
         if nodes_per_interval < 4:
             raise ValueError("need at least 4 nodes per interval")
-        self.table = table
-        self.beta = beta
-        self.n = nodes_per_interval
-        branches = table.branches
-        self.charts = [_chart_for(rec.interval) for rec in branches]
-        t, lam = _cheb_nodes(nodes_per_interval)
-        self._t, self._lam = t, lam
-        self.node_x = np.concatenate(
-            [np.array([c.x_of_t(tt) for tt in t]) for c in self.charts]
-        )
+        n = nodes_per_interval
+        charts = [_chart(rec.interval) for rec in table.branches]
+        t, lam = _cheb_nodes(n)
+        xs = [np.array([x_of(tt) for tt in t]) for x_of, _, _ in charts]
+        self.node_x = np.concatenate(xs)
         self.node_weight = np.concatenate(
-            [np.array([c.weight(x) for x in self.node_x[bi * self.n : (bi + 1) * self.n]])
-             for bi, c in enumerate(self.charts)]
+            [np.array([W(x) for x in xc]) for xc, (_, _, W) in zip(xs, charts)]
         )
         size = len(self.node_x)
         M = np.zeros((size, size), dtype=complex if isinstance(beta, complex) else float)
         # each row of interval m gets one block per branch k whose image contains m;
         # every block is written once, so the loop order does not change a bit
-        for k in range(len(branches)):
+        for k, (_, t_of, W) in enumerate(charts):
+            h = table.branches[k].h
             for m in table.follows(k):
-                for row in range(m * self.n, (m + 1) * self.n):
-                    self._accumulate(M, row, k)
+                for row in range(m * n, (m + 1) * n):
+                    x = self.node_x[row]
+                    w = _power(1.0 / (h.c * x + h.d) ** 2, beta)
+                    q = (h.a * x + h.b) / (h.c * x + h.d)
+                    tq = t_of(q)
+                    if not 0.0 < tq < 1.0:
+                        raise AssertionError("branch image point escaped its chart")
+                    coeffs = _bary_coeffs(tq, t, lam)
+                    M[row, k * n : (k + 1) * n] += w * (self.node_weight[row] / W(q)) * coeffs
         self.matrix = M
-
-    def _accumulate(self, M, row: int, k: int):
-        h = self.table.branches[k].h
-        x = self.node_x[row]
-        w = _power(1.0 / (h.c * x + h.d) ** 2, self.beta)
-        q = (h.a * x + h.b) / (h.c * x + h.d)
-        chart = self.charts[k]
-        tq = chart.t_of_x(q)
-        if not 0.0 < tq < 1.0:
-            raise AssertionError("branch image point escaped its chart")
-        coeffs = _bary_coeffs(tq, self._t, self._lam)
-        Wq = chart.weight(q)
-        M[row, k * self.n : (k + 1) * self.n] += w * (self.node_weight[row] / Wq) * coeffs
 
     # --- application and spectra -------------------------------------------
 
@@ -324,12 +271,9 @@ class CollocationOperator:
         phi = _as_density(phi)
         return np.array([phi(x) for x in self.node_x]) * self.node_weight
 
-    def m_to_phi(self, m: np.ndarray) -> np.ndarray:
-        return m / self.node_weight
-
     def apply_to_function(self, phi) -> np.ndarray:
         """(L_beta phi) evaluated at all nodes, through the matrix."""
-        return self.m_to_phi(self.matrix @ self.phi_to_m(phi))
+        return (self.matrix @ self.phi_to_m(phi)) / self.node_weight
 
     def eigenvalues(self, k: int | None = None) -> list[complex]:
         """The k eigenvalues of largest modulus (all when k is None)."""

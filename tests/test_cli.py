@@ -77,6 +77,17 @@ def test_cf(capsys):
     assert data2["digits"] == [2] * 6
 
 
+
+@pytest.mark.parametrize("x, pre, per", [("surd:(0+1*sqrt(2))/1", [1], [2]),
+                                         ("surd:(1+1*sqrt(5))/2", [], [1]),
+                                         ("surd:(0+1*sqrt(13))/1", [3], [1, 1, 1, 1, 6]),
+                                         ("surd:(0+1*sqrt(41))/1", [6], [2, 2, 12])])
+def test_cf_reports_the_minimal_period(capsys, x, pre, per):
+    code, out = run_cli(capsys, "cf", "--x", x, "--digits", "12")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["preperiod"], data["period"]) == (pre, per)
+
 def test_return_record(capsys):
     code, out = run_cli(
         capsys,
@@ -104,6 +115,30 @@ def test_return_previous(capsys):
     assert code == 0
     assert json.loads(out)["previous"] is None
 
+
+
+def test_code_two_sided_trace_has_the_future_states(capsys):
+    x = "surd:(1+1*sqrt(5))/2"
+    code, out = run_cli(capsys, "code", "--modular", "--x", x, "--y", "surd:(1+-1*sqrt(5))/2",
+                        "--steps", "3", "--trace")
+    assert code == 0
+    data = json.loads(out)
+    _, future = run_cli(capsys, "code", "--modular", "--x", x, "--steps", "3", "--trace")
+    assert data["states"] == json.loads(future)["states"] == [x, "surd:(-1+1*sqrt(5))/2", x]
+    assert len(data["states"]) == len(data["letters"]) - data["origin"] + 1
+
+
+@pytest.mark.parametrize("pair", [("surd:(0+1*sqrt(2))/1", "rat:1/5"),
+                                  ("surd:(-1+1*sqrt(2))/1", "surd:(0+-1*sqrt(2))/1")])
+def test_return_previous_trace_has_the_section_point(capsys, pair):
+    where = ["--p", "5", "--x", pair[0], "--y", pair[1]]
+    code, out = run_cli(capsys, "return", *where, "--previous", "--trace")
+    assert code == 0
+    _, nxt = run_cli(capsys, "return", *where, "--trace")
+    _, plain = run_cli(capsys, "return", *where, "--previous")
+    data = json.loads(out)
+    assert data.pop("section_point") == json.loads(nxt)["section_point"]
+    assert data == json.loads(plain)
 
 def test_conjugacy_check_deterministic(capsys):
     code1, out1 = run_cli(
@@ -188,6 +223,14 @@ def test_domain_without_group_is_argument_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
+
+@pytest.mark.parametrize("p", ["5", "4"])
+def test_p_with_modular_is_argument_error(capsys, p):
+    with pytest.raises(SystemExit) as exc:
+        main(["branches", "--p", p, "--modular"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "--modular" in captured.err
 
 @pytest.mark.parametrize("extra", [(), ("--previous",)])
 def test_return_approx_endpoints_are_argument_errors(capsys, extra):

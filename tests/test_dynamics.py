@@ -328,6 +328,20 @@ def test_acceleration_matches_cf_oracle_sampled():
         assert cf.expand(len(want)) == want
 
 
+def test_acceleration_reports_the_minimal_period():
+    # an odd digit period spans an even number of letter runs only twice over
+    tm = modular_table()
+    xs = [normalize_surd(0, 1, 1, d) for d in (2, 5, 10, 13, 41)] + [Surd(1, 1, 2, 5)]
+    rng = random.Random(43)
+    for _ in range(60):  # (a + sqrt d)/c > 1 with small c, where odd periods are common
+        c = rng.choice((1, 2, 3, 5, 7))
+        xs.append(normalize_surd(rng.randrange(c, c + 20), 1, c, rng.randrange(2, 300)))
+    for x in (x for x in xs if isinstance(x, Surd)):
+        pre, per = continued_fraction_surd(x)
+        cf = accelerate_to_cf(code_future(tm, x, 500000), max_digits=2 * len(pre + per) + 16)
+        assert (list(cf.preperiod), list(cf.period)) == (pre, per), emit_value(x)
+
+
 def test_cusp_orbit_charaterization():
     # reduced r/s is in the inf-orbit iff p | s, else the 0-orbit
     rng = random.Random(37)

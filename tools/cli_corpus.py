@@ -4,10 +4,11 @@
 
 Each tree runs in its own process and calls cuspdyn.cli.main for every
 invocation: the README examples at every level, exact and approx code,
-traced code at step caps 1 to 12, cf, transfer and return cases, code and
-return on a ratio of consecutive 627-digit Fibonacci numbers, and spectrum
-at three node counts and three betas, under four values of
-CUSPDYN_APPROX_ERR.
+plain and traced, one- and two-sided, traced code at step caps 1 to 12,
+cf (also on sqrt 2, 13 and 41), transfer cases, next and traced previous
+return cases, code and return on a ratio of consecutive 627-digit
+Fibonacci numbers, spectrum at three node counts and three betas, and
+--p given with --modular, under four values of CUSPDYN_APPROX_ERR.
 Invocations whose stdout, stderr, exit code or SVG differ are printed
 grouped by subcommand, input kind and outcome.
 """
@@ -21,6 +22,7 @@ XS = ["rat:7/3", "rat:-5/7", "rat:1000001/2", "surd:(1+1*sqrt(5))/2", "surd:(-1+
       "surd:(3+2*sqrt(7))/5", "surd:(1+1*sqrt(2))/7", "inf", "approx:0.3", "approx:0.6", "approx:1e-5",
       "approx:2.1113077514094725", "approx:-2.420509706659658", "approx:2.20747578431883"]
 YS = ["surd:(0+-1*sqrt(2))/1", "rat:-1/3", "surd:(1+1*sqrt(2))/3", "approx:-0.5", "approx:-3.7"]
+CF_XS = ["surd:(0+1*sqrt(2))/1", "surd:(0+1*sqrt(13))/1", "surd:(0+1*sqrt(41))/1"]  # odd digit periods
 TRACED = ["surd:(0+1*sqrt(101))/1", "surd:(1+-1*sqrt(101))/100", "approx:10.04987562112089"]  # runs of p, 0, -1
 FIB = [0, 1]
 while len(FIB) < 3001:
@@ -38,15 +40,17 @@ def corpus(readme):
         for x in XS:
             yield from (["code", *level, "--x", x, "--steps", "80"], ["code", *level, "--x", x, "--trace"])
             for y in YS:
-                yield ["code", *level, "--x", x, "--y", y, "--steps", "20", "--past", "20"]
-                yield ["return", *level, "--x", x, "--y", y]
+                yield from (["code", *level, "--x", x, "--y", y, "--steps", "20", "--past", "20", *trace]
+                            for trace in ([], ["--trace"]))
+                yield from (["return", *level, "--x", x, "--y", y, *prev] for prev in ([], ["--previous", "--trace"]))
             for beta, phi in (("1", "one"), ("2", "invx"), ("0.5", "one"), ("300", "invx")):
                 yield ["transfer", *level, "--beta", beta, "--phi", phi, "--x", x]
         for x in TRACED:
             yield from (["code", *level, "--x", x, "--steps", str(n), "--trace"] for n in range(1, 13))
         for nodes in ("8", "16", "32"):
             yield from (["spectrum", *level, "--nodes", nodes, "--beta", beta] for beta in ("1", "1.5", "0.5"))
-    yield from (["cf", "--x", x, "--digits", "12"] for x in XS)
+    yield from (["cf", "--x", x, "--digits", "12"] for x in XS + CF_XS)
+    yield ["branches", "--p", "5", "--modular"]
     for level in (["--p", "5"], ["--modular"]):
         for x in FIBS:
             yield from (["code", *level, "--x", x], ["code", *level, "--x", x, "--trace"])
