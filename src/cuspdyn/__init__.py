@@ -46,7 +46,6 @@ from .flow_oracle import (
     canonical_section_point,
     classify,
     first_return_geometric,
-    intersect_vertical,
     previous_exterior_geometric,
 )
 from .transfer import (

@@ -198,6 +198,8 @@ def _parse_phi(name: str) -> transfer.DensityFunction:
     if name.startswith("file:"):
         with open(name[5:]) as fh:
             data = json.load(fh)
+        if not (isinstance(data, dict) and "nodes" in data and "values" in data):
+            raise ValueError("a density file holds a JSON object with nodes and values")
         return transfer.DensityFunction.from_samples(data["nodes"], data["values"])
     raise SystemExit2(f"unknown density {name!r} (use one|invx|file:<samples.json>)")
 

@@ -143,7 +143,10 @@ def _parabolic_run(rec: BranchRecord) -> tuple[tuple, tuple] | None:
     so it conjugates F to x -> x - 1.  On a branch that follows itself M
     maps the interval onto (0, inf): the letter repeats exactly ceil(M x)
     times from x, and the run ends at (I + nN) x.  Points are integer
-    pairs (v1, v2) for v1/v2, with (1, 0) for an unbounded end.
+    pairs (v1, v2) for v1/v2, with (1, 0) for an unbounded end.  Exactly
+    one end is fixed: h maps the interval into itself, so the fixed point
+    lies in its closure; inside it would push one end outward, and two
+    fixed ends would make F the identity.
     """
     g, h = rec.h_inv, rec.h
     if abs(g.a + g.d) != 2:
@@ -151,10 +154,8 @@ def _parabolic_run(rec: BranchRecord) -> tuple[tuple, tuple] | None:
     s = (g.a + g.d) // 2
     N = (s * g.a - 1, s * g.b, s * g.c, s * g.d - 1)
     ends = [(1, 0) if v is None else (v.numerator, v.denominator) for v in (rec.interval.lo, rec.interval.hi)]
-    fixed = [N[0] * u + N[1] * v == 0 == N[2] * u + N[3] * v for u, v in ends]
-    if fixed.count(True) != 1:
-        return None
-    f, e = ends if fixed[0] else ends[::-1]
+    u, v = ends[0]
+    f, e = ends if N[0] * u + N[1] * v == 0 == N[2] * u + N[3] * v else ends[::-1]
     y = (h.a * e[0] + h.b * e[1], h.c * e[0] + h.d * e[1])
     det = lambda u, v: u[0] * v[1] - u[1] * v[0]
     fy, ey = det(f, y), det(e, y)

@@ -48,23 +48,11 @@ __all__ = [
     "SectionPoint",
     "CrossingPoint",
     "ReturnRecord",
-    "Contained",
-    "intersect_vertical",
     "classify",
     "first_return_geometric",
     "previous_exterior_geometric",
     "canonical_section_point",
 ]
-
-
-class Contained:
-    """Marker: the probe line coincides with the geodesic."""
-
-    def __repr__(self):
-        return "Contained()"
-
-
-CONTAINED = Contained()
 
 
 def _field_of(x: BoundaryValue) -> int | None:
@@ -88,19 +76,6 @@ class Geodesic:
 
     def is_vertical(self) -> bool:
         return isinstance(self.forward, Infinity) or isinstance(self.backward, Infinity)
-
-    def center(self) -> BoundaryValue:
-        """Euclidean center of the semicircle (finite endpoints only)."""
-        if self.is_vertical():
-            raise ValueError("a vertical geodesic has no semicircle center")
-        return (self.forward + self.backward) / Rational(2)
-
-    def radius2(self) -> BoundaryValue:
-        """Squared Euclidean radius of the semicircle."""
-        if self.is_vertical():
-            raise ValueError("a vertical geodesic has no semicircle radius")
-        half = (self.forward - self.backward) / Rational(2)
-        return half * half
 
     def field(self) -> int | None:
         dx = _field_of(self.forward)
@@ -160,24 +135,6 @@ class SectionPoint:
             "direction": self.direction,
             "crossing": self.crossing().to_json(),
         }
-
-
-def intersect_vertical(geod: Geodesic, a) -> CrossingPoint | None | Contained:
-    """Intersection of the geodesic with the vertical line Re = a."""
-    a = Fraction(a)
-    x, y = geod.forward, geod.backward
-    if geod.is_vertical():
-        base = y if isinstance(x, Infinity) else x
-        if compare(base, Rational(a)) == EQUAL:
-            return CONTAINED
-        return None
-    ra = Rational(a)
-    cx, cy = compare(ra, x), compare(ra, y)
-    if cx == EQUAL or cy == EQUAL:
-        return None
-    if cx == cy:  # same side of both endpoints
-        return None
-    return _crossing(geod, ra)
 
 
 # --- return records ------------------------------------------------------------

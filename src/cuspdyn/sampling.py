@@ -23,6 +23,8 @@ SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26)
 
 def sample_unit_surd(rng: random.Random, d: int, b_max: int = 9, c_range=(40, 400)) -> Surd:
     """A canonical surd strictly inside (0, 1) over the field sqrt(d)."""
+    if math.isqrt(d) ** 2 == d:
+        raise ValueError(f"radicand {d} is a perfect square, so sqrt({d}) is rational")
     while True:
         b = rng.choice((-1, 1)) * rng.randint(1, b_max)
         c = rng.randint(*c_range)

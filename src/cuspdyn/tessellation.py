@@ -13,7 +13,6 @@ endpoint equality, not numerically.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,15 +258,3 @@ def domain_to_json(dom: FordDomain) -> dict:
 
 def matrix_literal(g: GroupElement) -> str:
     return f"[[{g.a},{g.b}],[{g.c},{g.d}]]"
-
-
-def parse_matrix(text: str) -> GroupElement:
-    text = text.strip()
-    if not (text.startswith("[[") and text.endswith("]]")):
-        raise ValueError(f"unparseable matrix literal {text!r}")
-    try:
-        rows = json.loads(text)
-        (a, b), (c, d) = rows
-    except Exception as exc:
-        raise ValueError(f"unparseable matrix literal {text!r}") from exc
-    return GroupElement(int(a), int(b), int(c), int(d))

@@ -64,10 +64,18 @@ class DensityFunction:
 
     @classmethod
     def from_samples(cls, nodes, values) -> "DensityFunction":
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
+        """Piecewise-linear interpolation of finite samples (values[i] at nodes[i])."""
+        try:
+            nodes, values = np.asarray(nodes), np.asarray(values)
+        except ValueError:  # ragged nesting
+            raise ValueError("samples need matching 1-d nodes and values") from None
+        if nodes.dtype.kind not in "iuf" or values.dtype.kind not in "iuf":
+            raise ValueError("samples must be numbers")
+        nodes, values = nodes.astype(float), values.astype(float)
         if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
             raise ValueError("samples need matching 1-d nodes and values")
+        if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
+            raise ValueError("samples must be finite")
         order = np.argsort(nodes)
         nodes, values = nodes[order], values[order]
         return cls(lambda x: float(np.interp(x, nodes, values)))

@@ -182,6 +182,31 @@ def test_transfer_from_sample_file(tmp_path, capsys):
     assert abs(data["value"] - 10.0 / 31.0) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{}", "a JSON object with nodes and values"),
+        ("[1, 2]", "a JSON object with nodes and values"),
+        ('"x"', "a JSON object with nodes and values"),
+        ('{"nodes": {"a": 1}, "values": [1, 2]}', "samples must be numbers"),
+        ('{"nodes": [1e400, 2], "values": [1, 2]}', "samples must be finite"),
+        ('{"nodes": [1, 2], "values": [1, 1e400]}', "samples must be finite"),
+        ('{"nodes": [1, 2], "values": [1, null]}', "samples must be numbers"),
+        ('{"nodes": ["0", "2"], "values": [1, 3]}', "samples must be numbers"),
+        ('{"nodes": [[0], [1, 2]], "values": [1, 3]}', "samples need matching 1-d nodes and values"),
+    ],
+    ids=["empty-object", "list", "string", "dict-nodes", "inf-node", "inf-value", "null-value", "string-nodes",
+         "ragged-nodes"],
+)
+def test_transfer_refuses_a_malformed_sample_file(tmp_path, capsys, content, message):
+    path = tmp_path / "phi.json"
+    path.write_text(content)
+    code = main(["transfer", "--modular", "--phi", f"file:{path}", "--x", "rat:1/2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_spectrum(capsys):
     code, out = run_cli(capsys, "spectrum", "--modular", "--beta", "1.0", "--nodes", "8", "--top", "4")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspdyn.dynamics import Interval, Termination
 from cuspdyn.exact import (
     EQUAL,
     GREATER,
@@ -73,6 +74,20 @@ def test_compare_examples():
     assert compare(s, Rational(Fraction(2, 5))) == GREATER
     assert compare(INF, Rational(10**100)) == GREATER
     assert compare(Rational(Fraction(1, 3)), Rational(Fraction(1, 3))) == EQUAL
+
+
+def test_equality_is_structural_and_agrees_with_hash():
+    assert Interval(Rational(0), None) != Interval(None, None)
+    assert Termination("cusp", 3, at=Rational(1)) != Termination("cusp", 3)
+    assert None not in [Rational(1)]
+    sample = [0, 1, -2, Fraction(1, 2), Fraction(-3, 7), INF, Approx(0.5, 0), Approx(0.5, 1e-9)]
+    sample += [Rational(0), Rational(1), Rational(Fraction(1, 2)), Rational(Fraction(-3, 7))]
+    sample += [normalize_surd(1, 1, 2, 5), normalize_surd(1, 1, 2, 5), normalize_surd(0, 1, 1, 2)]
+    for a in sample:
+        for b in sample:
+            assert a != b or hash(a) == hash(b), (a, b)
+    # order still crosses kinds
+    assert compare(Rational(1), 1) == EQUAL and Rational(1) != 1 and Rational(1) <= 1
 
 
 def test_compare_same_field_tight():

@@ -8,43 +8,50 @@ import pytest
 from cuspdyn.dynamics import NEG_INF_LABEL, apply_F, branch_table, modular_table
 from cuspdyn.exact import INF, Rational, Surd, compare, normalize_surd
 from cuspdyn.flow_oracle import (
-    CONTAINED,
     Geodesic,
     SectionPoint,
     canonical_section_point,
     classify,
     first_return_geometric,
-    intersect_vertical,
     previous_exterior_geometric,
 )
 from cuspdyn.moebius import GroupElement
-from cuspdyn.sampling import SQUAREFREE, conjugacy_check, sample_section_pair, sample_surd_in
+from cuspdyn.sampling import (
+    SQUAREFREE,
+    conjugacy_check,
+    sample_section_pair,
+    sample_surd_in,
+    sample_unit_surd,
+)
 
 PHI = Surd(1, 1, 2, 5)
 ONE_MINUS_PHI = Surd(1, -1, 2, 5)
 
 
-def test_intersect_vertical_examples():
-    g = Geodesic(forward=PHI, backward=ONE_MINUS_PHI)
-    pt = intersect_vertical(g, 0)
-    assert pt.re == Rational(0) and pt.height2 == Rational(1)  # the point i
-    pt1 = intersect_vertical(g, 1)
-    assert pt1.re == Rational(1) and pt1.height2 == Rational(1)  # the point 1 + i
-    vertical = Geodesic(forward=INF, backward=Rational(0))
-    assert intersect_vertical(vertical, Fraction(1, 2)) is None
-    assert intersect_vertical(vertical, 0) is CONTAINED
-    assert intersect_vertical(g, 2) is None  # outside the endpoint interval
-
-
 def test_geodesic_circle_data():
     g = Geodesic(forward=PHI, backward=ONE_MINUS_PHI)
-    assert g.center() == Rational(Fraction(1, 2))
-    assert g.radius2() == Rational(Fraction(5, 4))
-    # crossing heights agree with the circle equation: r^2 - (a - c)^2
-    pt = intersect_vertical(g, 0)
-    assert pt.height2 == g.radius2() - g.center() * g.center()
-    with pytest.raises(ValueError):
-        Geodesic(forward=INF, backward=Rational(0)).center()
+    c = (PHI + ONE_MINUS_PHI) / Rational(2)
+    half = (PHI - ONE_MINUS_PHI) / Rational(2)
+    r2 = half * half
+    assert c == Rational(Fraction(1, 2)) and r2 == Rational(Fraction(5, 4))
+    for a in (Fraction(0), Fraction(1)):  # the points i and 1 + i
+        pt = SectionPoint(g, a, +1).crossing()
+        assert pt.re == Rational(a) and pt.height2 == Rational(1)
+        # crossing heights agree with the circle equation: r^2 - (a - c)^2
+        assert pt.height2 == r2 - (Rational(a) - c) * (Rational(a) - c)
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_sampling_refuses_a_square_radicand(d):
+    with pytest.raises(ValueError, match="perfect square"):
+        sample_unit_surd(random.Random(0), d)
+    with pytest.raises(ValueError, match="perfect square"):
+        sample_surd_in(random.Random(0), Fraction(0), Fraction(1), d)
+
+
+def test_sampling_reduces_the_radicand():
+    rng = random.Random(0)
+    assert sample_unit_surd(rng, 12).d == 3 and sample_surd_in(rng, Fraction(0), Fraction(1), 12).d == 3
 
 
 def test_classify():

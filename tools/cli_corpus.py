@@ -5,12 +5,15 @@
 Each tree runs in its own process and calls cuspdyn.cli.main for every
 invocation: the README examples at every level, exact and approx code,
 plain and traced, one- and two-sided, traced code at step caps 1 to 12,
-cf (also on sqrt 2, 13 and 41), transfer cases, next and traced previous
-return cases, code and return on a ratio of consecutive 627-digit
-Fibonacci numbers, spectrum at three node counts and three betas, and
---p given with --modular, under four values of CUSPDYN_APPROX_ERR.
-Invocations whose stdout, stderr, exit code or SVG differ are printed
-grouped by subcommand, input kind and outcome.
+cf (also on sqrt 2, 13 and 41, and on 100001 at a step cap below and at
+its run length), transfer cases, transfer on one valid and eight
+malformed --phi file: densities, next and traced previous return cases,
+code and return on a ratio of consecutive 627-digit Fibonacci numbers,
+spectrum at three node counts and three betas, and --p given with
+--modular, under four values of CUSPDYN_APPROX_ERR.  Invocations whose
+stdout, stderr, exit code or SVG differ are printed grouped by
+subcommand, input kind and outcome; an uncaught exception counts as the
+exit code "uncaught <type>".
 """
 
 import contextlib, io, json, os, pathlib, re, subprocess, sys, tempfile
@@ -24,6 +27,17 @@ XS = ["rat:7/3", "rat:-5/7", "rat:1000001/2", "surd:(1+1*sqrt(5))/2", "surd:(-1+
 YS = ["surd:(0+-1*sqrt(2))/1", "rat:-1/3", "surd:(1+1*sqrt(2))/3", "approx:-0.5", "approx:-3.7"]
 CF_XS = ["surd:(0+1*sqrt(2))/1", "surd:(0+1*sqrt(13))/1", "surd:(0+1*sqrt(41))/1"]  # odd digit periods
 TRACED = ["surd:(0+1*sqrt(101))/1", "surd:(1+-1*sqrt(101))/100", "approx:10.04987562112089"]  # runs of p, 0, -1
+PHI_FILES = {  # written to the working directory of each run
+    "phi-ok.json": '{"nodes": [0, 1, 2, 4], "values": [1, 0.5, 0.25, 0.5]}',
+    "phi-empty.json": "{}",
+    "phi-list.json": "[1, 2]",
+    "phi-string.json": '"x"',
+    "phi-dict-nodes.json": '{"nodes": {"a": 1}, "values": [1, 2]}',
+    "phi-inf-node.json": '{"nodes": [1e400, 2], "values": [1, 2]}',
+    "phi-inf-value.json": '{"nodes": [1, 2], "values": [1, 1e400]}',
+    "phi-null-value.json": '{"nodes": [1, 2], "values": [1, null]}',
+    "phi-string-nodes.json": '{"nodes": ["0", "2"], "values": [1, 3]}',
+}
 FIB = [0, 1]
 while len(FIB) < 3001:
     FIB.append(FIB[-2] + FIB[-1])
@@ -45,11 +59,15 @@ def corpus(readme):
                 yield from (["return", *level, "--x", x, "--y", y, *prev] for prev in ([], ["--previous", "--trace"]))
             for beta, phi in (("1", "one"), ("2", "invx"), ("0.5", "one"), ("300", "invx")):
                 yield ["transfer", *level, "--beta", beta, "--phi", phi, "--x", x]
+        for name in PHI_FILES:
+            yield from (["transfer", *level, "--phi", f"file:{name}", "--x", x]
+                        for x in ("rat:1/2", "surd:(0+1*sqrt(2))/1"))
         for x in TRACED:
             yield from (["code", *level, "--x", x, "--steps", str(n), "--trace"] for n in range(1, 13))
         for nodes in ("8", "16", "32"):
             yield from (["spectrum", *level, "--nodes", nodes, "--beta", beta] for beta in ("1", "1.5", "0.5"))
     yield from (["cf", "--x", x, "--digits", "12"] for x in XS + CF_XS)
+    yield from (["cf", "--x", "rat:100001/1", "--steps", n] for n in ("4000", "100001"))
     yield ["branches", "--p", "5", "--modular"]
     for level in (["--p", "5"], ["--modular"]):
         for x in FIBS:
@@ -63,6 +81,9 @@ def run(readme):
 
     results, tmp = [], tempfile.TemporaryDirectory()
     svg = pathlib.Path(tmp.name, "out.svg")
+    os.chdir(tmp.name)
+    for name, text in PHI_FILES.items():
+        pathlib.Path(name).write_text(text)
     for err in ERRS:
         os.environ["CUSPDYN_APPROX_ERR"] = err
         for argv in corpus(readme):
@@ -72,6 +93,8 @@ def run(readme):
                     code = main([str(svg) if a.endswith(".svg") else a for a in argv])
                 except SystemExit as exc:
                     code = exc.code
+                except Exception as exc:
+                    code = f"uncaught {type(exc).__name__}"
             picture = svg.read_text() if svg.exists() else None
             svg.unlink(missing_ok=True)
             results.append([err, argv, code, out.getvalue(), errs.getvalue(), picture])
@@ -83,7 +106,8 @@ def main():
         return print(json.dumps(run(open(sys.argv[2]).read())))
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
     old, new = (json.loads(subprocess.run([sys.executable, __file__, "--run", readme], check=True, text=True,
-                                          capture_output=True, env={**os.environ, "PYTHONPATH": src}).stdout)
+                                          capture_output=True,
+                                          env={**os.environ, "PYTHONPATH": os.path.abspath(src)}).stdout)
                 for src in sys.argv[1:3])
     groups = defaultdict(list)
     for a, b in zip(old, new):
