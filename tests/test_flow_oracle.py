@@ -28,15 +28,21 @@ PHI = Surd(1, 1, 2, 5)
 ONE_MINUS_PHI = Surd(1, -1, 2, 5)
 
 
+def test_intersect_vertical_examples():
+    g = Geodesic(forward=PHI, backward=ONE_MINUS_PHI)
+    for a in (Fraction(0), Fraction(1)):  # the points i and 1 + i
+        pt = SectionPoint(g, a, +1).crossing()
+        assert pt.re == Rational(a) and pt.height2 == Rational(1)
+
+
 def test_geodesic_circle_data():
     g = Geodesic(forward=PHI, backward=ONE_MINUS_PHI)
     c = (PHI + ONE_MINUS_PHI) / Rational(2)
     half = (PHI - ONE_MINUS_PHI) / Rational(2)
     r2 = half * half
     assert c == Rational(Fraction(1, 2)) and r2 == Rational(Fraction(5, 4))
-    for a in (Fraction(0), Fraction(1)):  # the points i and 1 + i
+    for a in (Fraction(0), Fraction(1)):
         pt = SectionPoint(g, a, +1).crossing()
-        assert pt.re == Rational(a) and pt.height2 == Rational(1)
         # crossing heights agree with the circle equation: r^2 - (a - c)^2
         assert pt.height2 == r2 - (Rational(a) - c) * (Rational(a) - c)
 
