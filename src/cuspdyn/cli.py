@@ -56,21 +56,15 @@ def _beta(args) -> float:
 def _level(args) -> int:
     """The level: 1 for --modular, else the prime --p; an argument error unless exactly one is given."""
     if args.p is None and not args.modular:
-        raise SystemExit2("one of --p or --modular is required")
+        raise ValueError("one of --p or --modular is required")
     if args.p is not None and args.modular:
-        raise SystemExit2("--p and --modular exclude each other")
+        raise ValueError("--p and --modular exclude each other")
     return tessellation._level(args.p, args.modular)
 
 
 def _table(args):
     p = _level(args)
     return dynamics.modular_table() if p == 1 else dynamics.branch_table(p)
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, msg):
-        print(f"error: {msg}", file=sys.stderr)
-        super().__init__(2)
 
 
 def _add_group_args(sp):
@@ -201,7 +195,7 @@ def _parse_phi(name: str) -> transfer.DensityFunction:
         if not (isinstance(data, dict) and "nodes" in data and "values" in data):
             raise ValueError("a density file holds a JSON object with nodes and values")
         return transfer.DensityFunction.from_samples(data["nodes"], data["values"])
-    raise SystemExit2(f"unknown density {name!r} (use one|invx|file:<samples.json>)")
+    raise ValueError(f"unknown density {name!r} (use one|invx|file:<samples.json>)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,8 +264,6 @@ def main(argv=None) -> int:
     try:
         args.approx_err = _approx_err()
         return args.fn(args)
-    except SystemExit:
-        raise
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

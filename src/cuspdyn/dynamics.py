@@ -96,26 +96,31 @@ class Interval:
 
 @dataclass(frozen=True)
 class BranchRecord:
-    """One letter of the alphabet with its interval, element and geometry.
-
-    target_line / target_dir name the representative vertical line the
-    renormalized section point lands on after this letter: direction +1 is
-    a left-to-right crossing, -1 right-to-left (only ever on the line at 0).
-    """
+    """One letter of the alphabet with its interval, element and geometry."""
 
     label: float | int
     interval: Interval
     y_interval: Interval
     h: GroupElement
     image: Interval
-    target_line: Fraction
-    target_dir: int
     rep_line: Fraction
     rep_dir: int
     h_inv: GroupElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h_inv", self.h.inv())
+
+    @property
+    def target(self) -> tuple[Rational, int]:
+        """The representative vertical line the renormalized section point
+        lands on after this letter, and the direction it is crossed in: +1
+        left to right, -1 right to left (only ever on the line at 0).
+
+        h^{-1} sends one end of the interval to inf, so the image has one
+        finite end: the line, crossed left to right when it is the lower end.
+        """
+        lo = self.image.lo
+        return (self.image.hi, -1) if lo is None else (lo, +1)
 
     def apply(self, x: BoundaryValue) -> BoundaryValue:
         """F on this branch: the inverse element applied to x."""
@@ -162,7 +167,7 @@ def _parabolic_run(rec: BranchRecord) -> tuple[tuple, tuple] | None:
     return (-e[1] * fy, e[0] * fy, -f[1] * ey, f[0] * ey), N
 
 
-def _record(label, lo, hi, y_lo, y_hi, h, target_line, target_dir, rep_line, rep_dir) -> BranchRecord:
+def _record(label, lo, hi, y_lo, y_hi, h, rep_line, rep_dir) -> BranchRecord:
     """The record of a branch whose image is that of (lo, hi) under h^{-1} (monotone increasing)."""
     hinv = h.inv()
     ends = [hinv.apply_boundary(INF if e is None else e) for e in (lo, hi)]
@@ -172,8 +177,6 @@ def _record(label, lo, hi, y_lo, y_hi, h, target_line, target_dir, rep_line, rep
         y_interval=Interval(y_lo, y_hi),
         h=h,
         image=Interval(*(None if isinstance(e, Infinity) else e for e in ends)),
-        target_line=Fraction(target_line),
-        target_dir=target_dir,
         rep_line=Fraction(rep_line),
         rep_dir=rep_dir,
     )
@@ -329,20 +332,14 @@ def branch_table(p: int) -> BranchTable:
     records = []
     add = lambda *row: records.append(_record(*row))
 
-    add(NEG_INF_LABEL, None, frac(-1, p), frac(0), None, h_neg,
-        Fraction(1, p), +1, Fraction(0), -1)
-    add(-1, frac(-1, p), frac(0), frac(0), None, h_neg,
-        Fraction(0), -1, Fraction(0), -1)
-    add(0, frac(0), frac(1, p), None, frac(0), GroupElement(1, 0, p, 1),
-        Fraction(0), +1, Fraction(0), +1)
+    add(NEG_INF_LABEL, None, frac(-1, p), frac(0), None, h_neg, Fraction(0), -1)
+    add(-1, frac(-1, p), frac(0), frac(0), None, h_neg, Fraction(0), -1)
+    add(0, frac(0), frac(1, p), None, frac(0), GroupElement(1, 0, p, 1), Fraction(0), +1)
     for k in range(1, p - 1):
         a = (-pow(k + 1, -1, p)) % p
-        add(k, frac(k, p), frac(k + 1, p), None, frac(k, p), spheres[a - 1].element,
-            Fraction(a + 1, p), +1, Fraction(k, p), +1)
-    add(p - 1, frac(p - 1, p), frac(1), None, frac(p - 1, p), spheres[0].element,
-        Fraction(0), -1, Fraction(p - 1, p), +1)
-    add(p, frac(1), None, None, frac(1), GroupElement(1, 1, 0, 1),
-        Fraction(0), +1, Fraction(p - 1, p), +1)
+        add(k, frac(k, p), frac(k + 1, p), None, frac(k, p), spheres[a - 1].element, Fraction(k, p), +1)
+    add(p - 1, frac(p - 1, p), frac(1), None, frac(p - 1, p), spheres[0].element, Fraction(p - 1, p), +1)
+    add(p, frac(1), None, None, frac(1), GroupElement(1, 1, 0, 1), Fraction(p - 1, p), +1)
 
     return BranchTable(p=p, branches=tuple(records))
 
@@ -351,8 +348,8 @@ def modular_table() -> BranchTable:
     """Two-branch table of the slow continued-fraction map on R+."""
     zero, one = Rational(0), Rational(1)
     return BranchTable(p=1, branches=(
-        _record(0, zero, one, None, zero, GroupElement(1, 0, 1, 1), 0, +1, 0, +1),
-        _record(1, one, None, None, zero, GroupElement(1, 1, 0, 1), 0, +1, 0, +1),
+        _record(0, zero, one, None, zero, GroupElement(1, 0, 1, 1), 0, +1),
+        _record(1, one, None, None, zero, GroupElement(1, 1, 0, 1), 0, +1),
     ))
 
 

@@ -13,6 +13,12 @@ swapped it in saved 106 lines but slowed coding in 4 of 4 alternating
 benchmark pairs on a 2-core machine (1,028 to 900 ops/s, p50 0.248 to
 0.295 ms).
 
+Arithmetic is that of one field Q(sqrt(d)), a rational being its element
+with b = 0: each of +, -, * and / is one integer formula over the parts
+(a, b, c, d) of (a + b*sqrt(d))/c, defined once on BoundaryValue, whose
+canonical result is a Rational exactly when b = 0.  Two fields do not
+mix (FieldMixError); inf and Approx have no arithmetic (TypeError).
+
 The total order is decided by integer sign rules alone, never by
 floating comparison.  Within one field (or against a rational) the
 difference is (A + B*sqrt(d))/C with C > 0, whose sign is that of
@@ -95,6 +101,32 @@ class BoundaryValue:
     def __ge__(self, other):
         return compare(self, _coerce(other)) != LESS
 
+    # field arithmetic: one formula per operation on the parts of (a + b*sqrt(d))/c
+    def __add__(self, other):
+        return _sum(self, other, 1)
+
+    def __sub__(self, other):
+        return _sum(self, other, -1)
+
+    def __mul__(self, other):
+        a1, b1, c1, a2, b2, c2, d = _operands(self, other)
+        return _surd(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, c1 * c2, d)
+
+    def __truediv__(self, other):
+        # x/y = x * c2*(a2 - b2*sqrt(d)) / (a2^2 - b2^2 d); the norm is 0 only at y = 0
+        a1, b1, c1, a2, b2, c2, d = _operands(self, other)
+        norm = a2 * a2 - b2 * b2 * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return _surd((a1 * a2 - b1 * b2 * d) * c2, (b1 * a2 - a1 * b2) * c2, c1 * norm, d)
+
+    def __neg__(self):
+        a, b, c, d = _parts(self)
+        return _surd(-a, -b, c, d)
+
+    def reciprocal(self):
+        return _ONE / self
+
     def is_exact(self) -> bool:
         return not isinstance(self, Approx)
 
@@ -132,52 +164,6 @@ class Rational(BoundaryValue):
     def __repr__(self):
         return f"Rational({self.numerator}/{self.denominator})"
 
-    def __neg__(self):
-        return _coprime(-self.numerator, self.denominator)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if isinstance(other, Rational):
-            n, m = other.numerator, other.denominator
-            return _rational(self.numerator * m + n * self.denominator, self.denominator * m)
-        if isinstance(other, Surd):
-            return other + self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if isinstance(other, Rational):
-            return _rational(self.numerator * other.numerator, self.denominator * other.denominator)
-        if isinstance(other, Surd):
-            return other * self
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if isinstance(other, (Rational, Surd)):
-            return self * other.reciprocal()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
-    def reciprocal(self):
-        if self.numerator == 0:
-            raise ZeroDivisionError("reciprocal of rational zero")
-        if self.numerator < 0:
-            return _coprime(-self.denominator, -self.numerator)
-        return _coprime(self.denominator, self.numerator)
-
 
 _set_num = Rational.numerator.__set__
 _set_den = Rational.denominator.__set__
@@ -189,6 +175,9 @@ def _coprime(n: int, m: int) -> Rational:
     _set_num(r, n)
     _set_den(r, m)
     return r
+
+
+_ONE = _coprime(1, 1)
 
 
 def _rational(n: int, m: int) -> Rational:
@@ -248,60 +237,6 @@ class Surd(BoundaryValue):
     def __repr__(self):
         return f"Surd(({self.a}+{self.b}*sqrt({self.d}))/{self.c})"
 
-    def __neg__(self):
-        return Surd(-self.a, -self.b, self.c, self.d)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if isinstance(other, Rational):
-            n, m = other.numerator, other.denominator
-            return _surd(a * m + n * c, b * m, c * m, d)
-        if isinstance(other, Surd):
-            if other.d != d:
-                raise FieldMixError(f"cannot add sqrt({d}) and sqrt({other.d}) values")
-            c2 = other.c
-            return _surd(a * c2 + other.a * c, b * c2 + other.b * c, c * c2, d)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if isinstance(other, Rational):
-            n = other.numerator
-            return _surd(a * n, b * n, c * other.denominator, d)
-        if isinstance(other, Surd):
-            if other.d != d:
-                raise FieldMixError(f"cannot multiply sqrt({d}) and sqrt({other.d}) values")
-            a2, b2 = other.a, other.b
-            return _surd(a * a2 + b * b2 * d, a * b2 + b * a2, c * other.c, d)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        # 1/((a+b*sqrt(d))/c) = c*(a-b*sqrt(d))/(a^2-b^2 d); the norm is
-        # nonzero because the value is irrational.
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return _surd(c * a, -c * b, a * a - b * b * d, d)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if isinstance(other, (Rational, Surd)):
-            return self * other.reciprocal()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.reciprocal()
-
 
 _set_a = Surd.a.__set__
 _set_b = Surd.b.__set__
@@ -310,7 +245,7 @@ _set_d = Surd.d.__set__
 
 
 def _surd(a: int, b: int, c: int, d: int) -> BoundaryValue:
-    """Canonical value of (a + b*sqrt(d))/c for squarefree d > 1 and c != 0."""
+    """Canonical value of (a + b*sqrt(d))/c for c != 0, and squarefree d > 1 when b != 0."""
     if b == 0:
         return _rational(a, c)
     if c < 0:
@@ -319,6 +254,32 @@ def _surd(a: int, b: int, c: int, d: int) -> BoundaryValue:
     if g != 1:
         a, b, c = a // g, b // g, c // g
     return Surd(a, b, c, d)
+
+
+def _parts(x) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with x = (a + b*sqrt(d))/c; a rational n/m is (n, 0, m, 0)."""
+    if isinstance(x, Rational):
+        return x.numerator, 0, x.denominator, 0
+    if isinstance(x, Surd):
+        return x.a, x.b, x.c, x.d
+    if isinstance(x, BoundaryValue):
+        raise TypeError(f"no field arithmetic on {x!r}")
+    return _parts(_coerce(x))
+
+
+def _operands(x, y) -> tuple[int, ...]:
+    """The parts a, b, c of x and of y, then the radicand d of their field (0 for Q)."""
+    a1, b1, c1, d1 = _parts(x)
+    a2, b2, c2, d2 = _parts(y)
+    if d1 and d2 and d1 != d2:
+        raise FieldMixError(f"cannot combine sqrt({d1}) and sqrt({d2}) values")
+    return a1, b1, c1, a2, b2, c2, d1 or d2
+
+
+def _sum(x, y, sign: int) -> BoundaryValue:
+    """x + sign*y for sign = +1 or -1."""
+    a1, b1, c1, a2, b2, c2, d = _operands(x, y)
+    return _surd(a1 * c2 + sign * a2 * c1, b1 * c2 + sign * b2 * c1, c1 * c2, d)
 
 
 class Infinity(BoundaryValue):
@@ -493,7 +454,7 @@ def compare(x: BoundaryValue, y: BoundaryValue) -> int:
 
 
 def _floor_root(a: int, b: int, c: int, d: int) -> int:
-    """floor((a + b*sqrt(d))/c) for c > 0 and squarefree d > 1."""
+    """floor((a + b*sqrt(d))/c) for c > 0, and squarefree d > 1 when b != 0."""
     t = b * b * d
     m = math.isqrt(t) if b >= 0 else -math.isqrt(t) - 1
     return (a + m) // c
@@ -501,12 +462,7 @@ def _floor_root(a: int, b: int, c: int, d: int) -> int:
 
 def floor_exact(x: BoundaryValue) -> int:
     """Exact floor of a finite exact value."""
-    x = _coerce(x)
-    if isinstance(x, Rational):
-        return x.numerator // x.denominator
-    if isinstance(x, Surd):
-        return _floor_root(x.a, x.b, x.c, x.d)
-    raise TypeError(f"floor is not defined for {x!r}")
+    return _floor_root(*_parts(x))
 
 
 def ceil_moebius(matrix: tuple[int, int, int, int], x: BoundaryValue) -> int:

@@ -252,7 +252,8 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     for g, base in _labels(table, side):
         ginv = g.inv()
         xt, yt = ginv.apply_boundary(x), ginv.apply_boundary(y)
-        direction = 1 if compare(yt, Rational(base)) == LESS else -1
+        line = Rational(base)
+        direction = 1 if compare(yt, line) == LESS else -1
         if _representative(table, int(base * table.p), direction):
             break
     else:
@@ -262,7 +263,7 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     # h_k^{-1} . (representative line of branch k)
     if forward:
         rec = table.branch_at(x)
-        ok = rec is not None and (rec.h, rec.target_line, rec.target_dir) == (g, base, direction)
+        ok = rec is not None and (rec.h, rec.target) == (g, (line, direction))
     else:
         rec = table.branch_at(xt)
         ok = rec is not None and (rec.h, rec.rep_line, rec.rep_dir) == (ginv, base, direction)

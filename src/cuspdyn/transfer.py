@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import BoundaryValue, Infinity, Rational, _coerce
+from .exact import BoundaryValue, Infinity, Rational, _coerce, _parts
 from .dynamics import BranchTable, Interval
 
 # An exact weight (c x + d)^(-2 beta) has about beta times the digits of
@@ -64,7 +64,8 @@ class DensityFunction:
 
     @classmethod
     def from_samples(cls, nodes, values) -> "DensityFunction":
-        """Piecewise-linear interpolation of finite samples (values[i] at nodes[i])."""
+        """Piecewise-linear interpolation of finite samples (values[i] at distinct nodes[i])."""
+        samples = (nodes, values)
         try:
             nodes, values = np.asarray(nodes), np.asarray(values)
         except ValueError:  # ragged nesting
@@ -74,10 +75,15 @@ class DensityFunction:
         nodes, values = nodes.astype(float), values.astype(float)
         if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
             raise ValueError("samples need matching 1-d nodes and values")
+        # numpy reads a boolean among numbers as 0 or 1
+        if any(isinstance(v, bool) for s in samples for v in s):
+            raise ValueError("samples must be numbers, not booleans")
         if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
             raise ValueError("samples must be finite")
         order = np.argsort(nodes)
         nodes, values = nodes[order], values[order]
+        if (np.diff(nodes) == 0).any():
+            raise ValueError("sample nodes must be distinct")
         return cls(lambda x: float(np.interp(x, nodes, values)))
 
     def __call__(self, x: float) -> float:
@@ -146,8 +152,8 @@ def apply_transfer(table: BranchTable, beta, phi, x):
 
 def _digits(v: BoundaryValue) -> float:
     """log10 of the largest integer in a rational or surd."""
-    ints = (v.numerator, v.denominator) if isinstance(v, Rational) else (v.a, v.b, v.c)
-    return math.log10(max(abs(i) for i in ints))
+    a, b, c, _ = _parts(v)
+    return math.log10(max(abs(a), abs(b), c))
 
 
 def _exact_power(v: BoundaryValue, n: int) -> BoundaryValue:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -163,8 +164,16 @@ def test_arithmetic_field_ops():
     assert s * s == s + Rational(1)  # phi^2 = phi + 1
     assert s.reciprocal() == s - Rational(1)  # 1/phi = phi - 1
     assert (s - s) == Rational(0)
-    with pytest.raises(FieldMixError):
-        _ = s + Surd(0, 1, 1, 2)
+    with pytest.raises(ZeroDivisionError):
+        Rational(0).reciprocal()
+    with pytest.raises(ZeroDivisionError):
+        _ = s / Rational(0)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMixError):
+            op(s, Surd(0, 1, 1, 2))
+        for x, y in ((s, INF), (INF, Rational(1)), (Rational(1), Approx(0.5)), (Approx(0.5), s)):
+            with pytest.raises(TypeError):
+                op(x, y)
 
 
 def test_floor_exact():
@@ -320,13 +329,23 @@ def test_kernel_matches_fraction_reference(case):
     (q1, r1), (q2, r2) = _ref(x), _ref(y)
     assert compare(x, y) == _ref_sign(q1 - q2, r1 - r2, d)
     assert compare(y, x) == -compare(x, y)
-    got = [x + y, x - y, x * y]
-    want = [(q1 + q2, r1 + r2), (q1 - q2, r1 - r2), (q1 * q2 + r1 * r2 * d, q1 * r2 + r1 * q2)]
+    got = [x + y, x - y, x * y, -x]
+    want = [(q1 + q2, r1 + r2), (q1 - q2, r1 - r2), (q1 * q2 + r1 * r2 * d, q1 * r2 + r1 * q2), (-q1, -r1)]
     norm = q2 * q2 - r2 * r2 * d
     if norm != 0:
         got.append(x / y)
         q3, r3 = q2 / norm, -r2 / norm  # 1/y
         want.append((q1 * q3 + r1 * r3 * d, q1 * r3 + r1 * q3))
+    norm = q1 * q1 - r1 * r1 * d
+    if norm != 0:
+        got.append(x.reciprocal())
+        want.append((q1 / norm, -r1 / norm))
+    for n in (q2.numerator, q2):  # int and Fraction right operands
+        got += [x + n, x - n, x * n]
+        want += [(q1 + n, r1), (q1 - n, r1), (q1 * n, r1 * n)]
+        if n != 0:
+            got.append(x / n)
+            want.append((q1 / n, r1 / n))
     for g, (q, r) in zip(got, want):
         _assert_canonical(g)
         assert g == _ref_value(q, r, d)

@@ -6,8 +6,9 @@ Each tree runs in its own process and calls cuspdyn.cli.main for every
 invocation: the README examples at every level, exact and approx code,
 plain and traced, one- and two-sided, traced code at step caps 1 to 12,
 cf (also on sqrt 2, 13 and 41, and on 100001 at a step cap below and at
-its run length), transfer cases, transfer on one valid and eight
-malformed --phi file: densities, next and traced previous return cases,
+its run length), transfer cases, transfer on one valid and eleven
+malformed --phi file: densities (among them a boolean node, a boolean
+value and a repeated node), next and traced previous return cases,
 code and return on a ratio of consecutive 627-digit Fibonacci numbers,
 spectrum at three node counts and three betas, and --p given with
 --modular, under four values of CUSPDYN_APPROX_ERR.  Invocations whose
@@ -37,6 +38,9 @@ PHI_FILES = {  # written to the working directory of each run
     "phi-inf-value.json": '{"nodes": [1, 2], "values": [1, 1e400]}',
     "phi-null-value.json": '{"nodes": [1, 2], "values": [1, null]}',
     "phi-string-nodes.json": '{"nodes": ["0", "2"], "values": [1, 3]}',
+    "phi-bool-node.json": '{"nodes": [true, 2], "values": [1, 2]}',
+    "phi-bool-value.json": '{"nodes": [0, 1], "values": [false, 2]}',
+    "phi-repeated-node.json": '{"nodes": [0, 0, 1], "values": [1, 5, 2]}',
 }
 FIB = [0, 1]
 while len(FIB) < 3001:
