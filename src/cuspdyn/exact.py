@@ -11,13 +11,18 @@ integers.  Rational is not fractions.Fraction because Fraction.numerator
 is a Python property, read on every bisection compare: a prototype that
 swapped it in saved 106 lines but slowed coding in 4 of 4 alternating
 benchmark pairs on a 2-core machine (1,028 to 900 ops/s, p50 0.248 to
-0.295 ms).
+0.295 ms).  For the same reason compare keeps one branch per pair of
+kinds: one formula over the parts (a, b, c, d) of both values made an
+in-process coding pass 8% slower (44.3 to 47.9 ms), and an inlined type
+dispatch 5% slower on coding and 3% on conjugacy.
 
 Arithmetic is that of one field Q(sqrt(d)), a rational being its element
 with b = 0: each of +, -, * and / is one integer formula over the parts
 (a, b, c, d) of (a + b*sqrt(d))/c, defined once on BoundaryValue, whose
 canonical result is a Rational exactly when b = 0.  Two fields do not
 mix (FieldMixError); inf and Approx have no arithmetic (TypeError).
+Ints and Fractions go on the right only: 2 * x and sum(values) raise
+TypeError, x * 2 and sum(values, Rational(0)) work.
 
 The total order is decided by integer sign rules alone, never by
 floating comparison.  Within one field (or against a rational) the
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -81,6 +87,17 @@ def _squarefree_split(d: int) -> tuple[int, int]:
             s *= f
         f += 1
     return s, d0
+
+
+def _value_class(cls):
+    """cls as a frozen slotted dataclass that keeps its own constructor."""
+    new = dataclass(frozen=True, slots=True, init=False)(cls)
+    # slots=True rebuilds the class, and on Python 3.11 the generated __setattr__ and
+    # __delattr__ test for the old one, so a name that is no field raised TypeError
+    for cell in new.__setattr__.__closure__ + new.__delattr__.__closure__:
+        if cell.cell_contents is cls:
+            cell.cell_contents = new
+    return new
 
 
 class BoundaryValue:
@@ -131,18 +148,17 @@ class BoundaryValue:
         return not isinstance(self, Approx)
 
 
+@_value_class
 class Rational(BoundaryValue):
     """Canonical numerator/denominator: denominator > 0, gcd 1."""
 
-    __slots__ = ("numerator", "denominator")
+    numerator: int
+    denominator: int
 
     def __init__(self, num, den=1):
         fr = Fraction(num, den)
         _set_num(self, fr.numerator)
         _set_den(self, fr.denominator)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Rational is immutable")
 
     @property
     def fr(self) -> Fraction:
@@ -150,19 +166,6 @@ class Rational(BoundaryValue):
 
     def to_float(self) -> float:
         return self.numerator / self.denominator
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Rational)
-            and self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        return hash(("bv-rat", self.numerator, self.denominator))
-
-    def __repr__(self):
-        return f"Rational({self.numerator}/{self.denominator})"
 
 
 _set_num = Rational.numerator.__set__
@@ -188,6 +191,7 @@ def _rational(n: int, m: int) -> Rational:
     return _coprime(n // g, m // g)
 
 
+@_value_class
 class Surd(BoundaryValue):
     """Canonical (a + b*sqrt(d))/c: d > 1 squarefree, b != 0, c > 0, gcd(a,b,c) = 1.
 
@@ -195,16 +199,16 @@ class Surd(BoundaryValue):
     its arguments.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __init__(self, a: int, b: int, c: int, d: int):
         _set_a(self, a)
         _set_b(self, b)
         _set_c(self, c)
         _set_d(self, d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Surd is immutable")
 
     def to_float(self) -> float:
         """The value as a float, also when its integers are past float range.
@@ -224,18 +228,6 @@ class Surd(BoundaryValue):
         r = math.isqrt(t << 2 * k)
         s = (a << k) + (-r if (b > 0) == cancel else r)
         return ((a * a - t) << k) / (c * s) if cancel else s / (c << k)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Surd)
-            and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        )
-
-    def __hash__(self):
-        return hash(("bv-surd", self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"Surd(({self.a}+{self.b}*sqrt({self.d}))/{self.c})"
 
 
 _set_a = Surd.a.__set__
@@ -282,33 +274,26 @@ def _sum(x, y, sign: int) -> BoundaryValue:
     return _surd(a1 * c2 + sign * a2 * c1, b1 * c2 + sign * b2 * c1, c1 * c2, d)
 
 
+@_value_class
 class Infinity(BoundaryValue):
     """The single compactification point; greater than every real."""
 
-    __slots__ = ()
     _instance = None
 
     def __new__(cls):
+        # object.__new__: _value_class rebuilds the class, so zero-argument super() breaks
         if cls._instance is None:
-            cls._instance = super().__new__(cls)
+            cls._instance = object.__new__(cls)
         return cls._instance
 
     def to_float(self) -> float:
         return math.inf
 
-    def __eq__(self, other):
-        return isinstance(other, Infinity)
-
-    def __hash__(self):
-        return hash("bv-inf")
-
-    def __repr__(self):
-        return "Infinity()"
-
 
 INF = Infinity()
 
 
+@_value_class
 class Approx(BoundaryValue):
     """The closed interval [lo, hi] of rationals that an approximate value may be.
 
@@ -317,7 +302,8 @@ class Approx(BoundaryValue):
     err are the float midpoint and half-width.
     """
 
-    __slots__ = ("lo", "hi")
+    lo: Rational
+    hi: Rational
 
     def __init__(self, value: float, err: float = 1e-12):
         value, err = float(value), float(err)
@@ -326,9 +312,6 @@ class Approx(BoundaryValue):
         v, e = Fraction(value), Fraction(err)
         object.__setattr__(self, "lo", Rational(v - e))
         object.__setattr__(self, "hi", Rational(v + e))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Approx is immutable")
 
     @property
     def value(self) -> float:
@@ -340,15 +323,6 @@ class Approx(BoundaryValue):
 
     def to_float(self) -> float:
         return self.value
-
-    def __eq__(self, other):
-        return isinstance(other, Approx) and (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash(("bv-approx", self.lo, self.hi))
-
-    def __repr__(self):
-        return f"Approx([{self.lo!r}, {self.hi!r}])"
 
 
 def _approx(lo: Rational, hi: Rational) -> Approx:

@@ -13,15 +13,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import INF, Approx, BoundaryValue, Infinity, PrecisionExhausted, Rational, Surd
-from .exact import _approx, _coprime, _surd
+from .exact import _approx, _coprime, _surd, _value_class
 
 __all__ = ["GroupElement", "HPoint", "IsometricSphere", "identity", "in_gamma0"]
 
 
+@_value_class
 class GroupElement:
     """Sign-canonical integer matrix (a b; c d) with ad - bc = 1."""
 
-    __slots__ = ("a", "b", "c", "d")
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __init__(self, a: int, b: int, c: int, d: int):
         if a * d - b * c != 1:
@@ -33,20 +37,8 @@ class GroupElement:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    def __setattr__(self, *args):
-        raise AttributeError("GroupElement is immutable")
-
     def key(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(("psl2", self.key()))
-
-    def __repr__(self):
-        return f"GroupElement({self.a}, {self.b}, {self.c}, {self.d})"
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         """Composition: (g*h)(z) = g(h(z))."""
@@ -121,10 +113,12 @@ def in_gamma0(g: GroupElement, p: int) -> bool:
     return g.c % p == 0
 
 
+@_value_class
 class HPoint:
     """Upper half plane point with rational x and rational squared height."""
 
-    __slots__ = ("x", "y2")
+    x: Fraction
+    y2: Fraction
 
     def __init__(self, x, y2):
         x, y2 = Fraction(x), Fraction(y2)
@@ -133,23 +127,14 @@ class HPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y2", y2)
 
-    def __setattr__(self, *args):
-        raise AttributeError("HPoint is immutable")
 
-    def __eq__(self, other):
-        return isinstance(other, HPoint) and (self.x, self.y2) == (other.x, other.y2)
-
-    def __hash__(self):
-        return hash(("hpoint", self.x, self.y2))
-
-    def __repr__(self):
-        return f"HPoint({self.x}, y2={self.y2})"
-
-
+@_value_class
 class IsometricSphere:
     """The geodesic |cz + d| = 1 of an element with c != 0."""
 
-    __slots__ = ("center", "radius", "element")
+    center: Fraction
+    radius: Fraction
+    element: GroupElement
 
     def __init__(self, g: GroupElement):
         if g.c == 0:
@@ -157,9 +142,6 @@ class IsometricSphere:
         object.__setattr__(self, "center", Fraction(-g.d, g.c))
         object.__setattr__(self, "radius", Fraction(1, abs(g.c)))
         object.__setattr__(self, "element", g)
-
-    def __setattr__(self, *args):
-        raise AttributeError("IsometricSphere is immutable")
 
     def side(self, z: HPoint) -> int:
         """Sign of |cz+d|^2 - 1: -1 inside, 0 on the sphere, +1 outside."""
@@ -169,7 +151,3 @@ class IsometricSphere:
         # |cz+d|^2 - 1 times the positive denominator xd^2 * yd, in integers
         t = (u * u - xd * xd) * z.y2.denominator + c * c * z.y2.numerator * xd * xd
         return (t > 0) - (t < 0)
-
-    def __repr__(self):
-        return f"IsometricSphere(center={self.center}, radius={self.radius})"
-

@@ -86,7 +86,6 @@ def conjugacy_check(table: BranchTable, samples: int, seed: int) -> dict:
     rng = random.Random(seed)
     labels = list(table.labels)
     mismatches = []
-    interior_skips = 0
     for i in range(samples):
         label = labels[i % len(labels)]
         x, y = sample_section_pair(table, rng, label=label)
@@ -101,8 +100,6 @@ def conjugacy_check(table: BranchTable, samples: int, seed: int) -> dict:
             and ret.renormalized.geodesic.forward == x_dyn
             and ret.renormalized.geodesic.backward == y_dyn
         )
-        if ret.interior_first:
-            interior_skips += 1
         if not ok:
             mismatches.append(
                 {
@@ -119,6 +116,5 @@ def conjugacy_check(table: BranchTable, samples: int, seed: int) -> dict:
         "samples": samples,
         "seed": seed,
         "matches": samples - len(mismatches),
-        "interior_first_count": interior_skips,
         "mismatches": mismatches,
     }

@@ -63,10 +63,7 @@ class FordDomain:
 
     p: int
     spheres: tuple[IsometricSphere, ...]
-    # vertices: v_0 = 0 and v_last = 1 are boundary points (y2 = 0 is not an
-    # HPoint, so they are stored as rationals); inner vertices are HPoints.
-    vertex_0: Fraction
-    vertex_last: Fraction
+    # the vertices 0 and 1 of the strip are boundary points, so only the inner ones are HPoints
     inner_vertices: tuple[HPoint, ...]
     maxima: tuple[HPoint, ...]
 
@@ -113,7 +110,7 @@ def _domain(q: int) -> FordDomain:
         if k1 == k + 1
     )
     maxima = tuple(HPoint(Fraction(k, q), Fraction(1, q * q)) for k in ks if 0 < k < q)
-    return FordDomain(q, tuple(spheres), Fraction(0), Fraction(1), inner, maxima)
+    return FordDomain(q, tuple(spheres), inner, maxima)
 
 
 def _level(p: int, modular: bool) -> int:
@@ -248,8 +245,8 @@ def domain_to_json(dom: FordDomain) -> dict:
             for s in dom.spheres
         ],
         "vertices": {
-            "v0": emit_value(Rational(dom.vertex_0)),
-            "v_last": emit_value(Rational(dom.vertex_last)),
+            "v0": emit_value(Rational(0)),
+            "v_last": emit_value(Rational(1)),
             "inner": [pt(v) for v in dom.inner_vertices],
         },
         "maxima": [pt(m) for m in dom.maxima],

@@ -15,6 +15,7 @@ from cuspdyn.exact import (
     LESS,
     Approx,
     FieldMixError,
+    Infinity,
     Rational,
     Surd,
     compare,
@@ -24,6 +25,7 @@ from cuspdyn.exact import (
     normalize_surd,
     parse_value,
 )
+from cuspdyn.exact import _approx, _coprime
 
 
 def test_normalize_already_canonical():
@@ -89,6 +91,29 @@ def test_equality_is_structural_and_agrees_with_hash():
             assert a != b or hash(a) == hash(b), (a, b)
     # order still crosses kinds
     assert compare(Rational(1), 1) == EQUAL and Rational(1) != 1 and Rational(1) <= 1
+
+
+@pytest.mark.parametrize(
+    "x, same, field",
+    [
+        (Rational(1, 2), _coprime(1, 2), "numerator"),
+        (Surd(1, 1, 2, 5), normalize_surd(2, 2, 4, 5), "b"),
+        (Approx(0.5, 2**-10), _approx(Rational(511, 1024), Rational(513, 1024)), "lo"),
+        (INF, Infinity(), "lo"),  # inf has no field, so takes none
+    ],
+    ids=["Rational", "Surd", "Approx", "Infinity"],
+)
+def test_value_is_frozen_and_equal_by_value(x, same, field):
+    """A value equals and hashes like the same value built another way, and refuses assignment."""
+    assert type(same) is type(x) and x == same and not x != same and hash(x) == hash(same)
+    for name in (field, "spare"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Rational(0))
+    assert x == same
+    assert INF is Infinity()
+    assert Rational(1) != 1 and Rational(2) != Approx(2.0, 0) and Rational(1, 2) != Fraction(1, 2)
+    if isinstance(x, Approx):
+        assert _approx(x.lo, x.hi) == x
 
 
 def test_compare_same_field_tight():

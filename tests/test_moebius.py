@@ -132,6 +132,29 @@ def test_apply_hpoint_exact():
     assert w == HPoint(Fraction(1, 5), Fraction(1, 25))
 
 
+@pytest.mark.parametrize(
+    "x, same, field",
+    [
+        (GroupElement(-1, 0, 0, -1), identity(), "a"),
+        (HPoint(1, 2), HPoint(Fraction(3, 3), 2.0), "x"),
+        (IsometricSphere(GroupElement(0, -1, 1, 0)), IsometricSphere(GroupElement(0, 1, -1, 0)), "center"),
+    ],
+    ids=["GroupElement", "HPoint", "IsometricSphere"],
+)
+def test_value_is_frozen_and_equal_by_value(x, same, field):
+    """Equal values hash equal, and no value takes an assignment."""
+    assert type(same) is type(x) and x == x and (x != same or hash(x) == hash(same))
+    for name in (field, "spare"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    assert GroupElement(-1, 0, 0, -1) == identity() and GroupElement(1, 1, 0, 1) != identity()
+    assert HPoint(1, 2) == HPoint(Fraction(3, 3), 2.0) and type(HPoint(1, 2).x) is Fraction
+    with pytest.raises(ValueError):
+        HPoint(0, 0)
+    if isinstance(x, IsometricSphere):
+        assert (x.center, x.radius, x.element) == (same.center, same.radius, same.element)
+
+
 def test_identity():
     assert identity().is_identity()
     z = HPoint(Fraction(1, 3), Fraction(2, 7))
