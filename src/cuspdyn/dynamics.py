@@ -378,7 +378,7 @@ def apply_F(table: BranchTable, x: BoundaryValue) -> tuple[BoundaryValue, float 
 
 @dataclass(frozen=True)
 class Termination:
-    kind: str  # "periodic" | "cusp" | "step-cap" | "precision-exhausted" | "no-past-branch"
+    kind: str  # "periodic" | "cusp" | "step-cap" | "precision-exhausted"
     step: int
     at: BoundaryValue | None = None
     preperiod: int | None = None
@@ -527,10 +527,10 @@ def code_two_sided(
 
     Future letters follow the first coordinate; past letters are found by
     the unique k with (h_k x, h_k y) on the reduced section over k, among
-    the branches whose image contains x.  Finding two such k is an internal
-    error; finding none ends the past side (weak section behavior), and
-    so does an Approx pair that an h_k maps across its pole or onto a
-    representative line.
+    the branches whose image contains x.  Finding two such k, or none for
+    an irrational pair, is an internal error.  A rational end stops the
+    past side at the cusp; an Approx pair that an h_k maps across its pole
+    or onto a representative line stops it as precision-exhausted.
     """
     if compare(x, y) == EQUAL:
         raise ValueError("geodesic endpoints must be distinct")
@@ -551,16 +551,13 @@ def code_two_sided(
         except PrecisionExhausted:
             past_term = Termination("precision-exhausted", step)
             break
-        if len(hits) > 1:
+        if not hits and (isinstance(cx, Rational) or isinstance(cy, Rational)):
+            past_term = Termination("cusp", step, at=cy)
+            break
+        if len(hits) != 1:
             raise AssertionError(
                 f"past branch not unique at step {step}: {[h[0].label for h in hits]}"
             )
-        if not hits:
-            if isinstance(cx, Rational) or isinstance(cy, Rational):
-                past_term = Termination("cusp", step, at=cy)
-            else:
-                past_term = Termination("no-past-branch", step)
-            break
         rec, cx, cy = hits[0]
         past_letters.append(rec.label)
     if past_term is None:

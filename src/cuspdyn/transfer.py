@@ -90,14 +90,6 @@ class DensityFunction:
         return self.float_rule(x)
 
 
-def _as_density(phi) -> DensityFunction:
-    if isinstance(phi, DensityFunction):
-        return phi
-    if callable(phi):
-        return DensityFunction(phi)
-    raise TypeError(f"cannot interpret {phi!r} as a density")
-
-
 def _to_value(x) -> BoundaryValue:
     # floats are exact binary rationals
     return Rational(Fraction(x)) if isinstance(x, float) else _coerce(x)
@@ -110,7 +102,6 @@ def apply_transfer(table: BranchTable, beta, phi, x):
     integer and phi carries an exact rule; otherwise a float (complex for
     complex beta).
     """
-    phi = _as_density(phi)
     xv = _to_value(x)
     if isinstance(xv, Infinity):
         raise ValueError("transfer operator is evaluated on the real line only")
@@ -118,6 +109,7 @@ def apply_transfer(table: BranchTable, beta, phi, x):
         xv.is_exact()
         and isinstance(beta, int)
         and beta >= 0
+        and isinstance(phi, DensityFunction)
         and phi.exact_rule is not None
         and not isinstance(x, float)
     )
@@ -139,15 +131,18 @@ def apply_transfer(table: BranchTable, beta, phi, x):
     xf = xv.to_float()
     total = 0.0
     for rec in recs:
-        h = rec.h
-        den = h.c * xf + h.d
-        fprime = 1.0 / (den * den)
-        if not 0.0 < fprime < math.inf:
-            raise ValueError(f"branch weight at x = {xf!r} is out of float range")
-        w = _power(fprime, beta)
-        q = (h.a * xf + h.b) / (h.c * xf + h.d)
+        w, q = _float_step(rec.h, xf, beta)
         total = total + w * phi(q)
     return total
+
+
+def _float_step(h, x: float, beta):
+    """Float weight F'(x)^beta = (c x + d)^(-2 beta) and image h x of one branch."""
+    den = h.c * x + h.d
+    fprime = 1.0 / (den * den)
+    if not 0.0 < fprime < math.inf:
+        raise ValueError(f"branch weight at x = {x!r} is out of float range")
+    return _power(fprime, beta), (h.a * x + h.b) / den
 
 
 def _digits(v: BoundaryValue) -> float:
@@ -176,26 +171,19 @@ def _power(fprime: float, beta):
 
 def transfer_two_step_pointwise(table: BranchTable, beta, phi, x) -> float | complex:
     """Explicit two-letter sum for (L_beta^2 phi)(x), Markov-admissible pairs only."""
-    phi = _as_density(phi)
     xv = _to_value(x)
     xf = xv.to_float()
     total = 0.0
     for rec_k in table.inverse_branches(xv):
-        hk = rec_k.h
-        qf = (hk.a * xf + hk.b) / (hk.c * xf + hk.d)
-        wk = _power(1.0 / (hk.c * xf + hk.d) ** 2, beta)
-        qv = hk.apply_boundary(xv)
-        for rec_j in table.inverse_branches(qv):
-            hj = rec_j.h
-            wj = _power(1.0 / (hj.c * qf + hj.d) ** 2, beta)
-            q2 = (hj.a * qf + hj.b) / (hj.c * qf + hj.d)
+        wk, qf = _float_step(rec_k.h, xf, beta)
+        for rec_j in table.inverse_branches(rec_k.h.apply_boundary(xv)):
+            wj, q2 = _float_step(rec_j.h, qf, beta)
             total = total + wk * wj * phi(q2)
     return total
 
 
 def functional_equation_residual(beta, phi, xs) -> list:
     """Residuals phi(x) - phi(x+1) - (x+1)^(-2 beta) phi(x/(x+1)) on R+."""
-    phi = _as_density(phi)
     out = []
     for x in xs:
         xf = float(x)
@@ -282,7 +270,6 @@ class CollocationOperator:
     # --- application and spectra -------------------------------------------
 
     def phi_to_m(self, phi) -> np.ndarray:
-        phi = _as_density(phi)
         return np.array([phi(x) for x in self.node_x]) * self.node_weight
 
     def apply_to_function(self, phi) -> np.ndarray:

@@ -75,6 +75,14 @@ def test_cf(capsys):
     code2, out2 = run_cli(capsys, "cf", "--x", "surd:(1+1*sqrt(2))/1", "--digits", "6")
     data2 = json.loads(out2)
     assert data2["digits"] == [2] * 6
+    # sqrt 31 = [5; 1, 1, 3, 5, 3, 1, 1, 10]: preperiod + period is 9 digits,
+    # so --digits 7 cuts them with no split and --digits 8 keeps the split
+    sqrt31 = ("cf", "--x", "surd:(0+1*sqrt(31))/1", "--digits")
+    data3 = json.loads(run_cli(capsys, *sqrt31, "7")[1])
+    assert data3["digits"] == [5, 1, 1, 3, 5, 3, 1] and "period" not in data3
+    data4 = json.loads(run_cli(capsys, *sqrt31, "8")[1])
+    assert data4["digits"] == [5, 1, 1, 3, 5, 3, 1, 1]
+    assert (data4["preperiod"], data4["period"]) == ([5], [1, 1, 3, 5, 3, 1, 1, 10])
 
 
 

@@ -243,7 +243,7 @@ def test_code_two_sided_rational_terminates():
     tm = modular_table()
     seq = code_two_sided(tm, frac(3, 2), frac(-1, 2), 10, 10)
     assert seq.termination.kind == "cusp"
-    assert seq.past_termination.kind in ("cusp", "no-past-branch")
+    assert seq.past_termination.kind == "cusp"
 
 
 def test_code_two_sided_rejects_bad_pairs():

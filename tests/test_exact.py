@@ -178,6 +178,8 @@ def test_compare_antisymmetric_transitive():
     for x in vals[:20]:
         for y in vals[:20]:
             assert compare(x, y) == -compare(y, x)
+            c = compare(x, y)
+            assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
     ordered = sorted(rng.sample(vals, 10), key=lambda v: (v.to_float(), id(v)))
     for a, b, c in zip(ordered, ordered[1:], ordered[2:]):
         if compare(a, b) != GREATER and compare(b, c) != GREATER:

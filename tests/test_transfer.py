@@ -63,6 +63,8 @@ def test_positivity_and_linearity():
             continue
         assert vf >= 0 and vg >= 0
         assert math.isclose(combo, 2.0 * vf - 3.0 * vg, rel_tol=1e-12, abs_tol=1e-12)
+        # a plain callable is a density too
+        assert apply_transfer(t5, 1.0, lambda t: math.exp(-abs(t)), x) == vg
 
 
 def test_functional_equation_examples():

@@ -14,7 +14,8 @@ spectrum at three node counts and three betas, and --p given with
 --modular, under four values of CUSPDYN_APPROX_ERR.  Invocations whose
 stdout, stderr, exit code or SVG differ are printed grouped by
 subcommand, input kind and outcome; an uncaught exception counts as the
-exit code "uncaught <type>".
+exit code "uncaught <type>".  The script exits 1 when any invocation
+differs and 0 when none does.
 """
 
 import contextlib, io, json, os, pathlib, re, subprocess, sys, tempfile
@@ -123,7 +124,8 @@ def main():
     for key, cases in sorted(groups.items()):
         print(f"\n{' | '.join(key)}: {len(cases)}")
         print("\n".join(f"  CUSPDYN_APPROX_ERR={err} cuspdyn {' '.join(argv)}" for err, argv in cases[:4]))
+    return 1 if groups else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
