@@ -30,7 +30,7 @@ from .exact import (
     floor_exact,
 )
 from .moebius import GroupElement
-from .tessellation import _domain, _require_prime, group_name, matrix_literal
+from .tessellation import _require_prime, cell, group_name, matrix_literal
 
 __all__ = [
     "NEG_INF_LABEL",
@@ -141,17 +141,17 @@ def label_to_json(label) -> str | int:
 
 
 def _parabolic_run(rec: BranchRecord) -> tuple[tuple, tuple] | None:
-    """(M, N) when F = h^{-1} is parabolic and fixes one end f of the interval; else None.
+    """(M, N) when F = h^{-1} is parabolic and fixes an end f of the interval; else None.
 
-    With F taken at trace 2 and N = F - I, N^2 = 0, so F^n = I + nN.  M is
-    the Moebius map sending the other end e to 0, f to inf and h(e) to 1,
-    so it conjugates F to x -> x - 1.  On a branch that follows itself M
-    maps the interval onto (0, inf): the letter repeats exactly ceil(M x)
-    times from x, and the run ends at (I + nN) x.  Points are integer
-    pairs (v1, v2) for v1/v2, with (1, 0) for an unbounded end.  Exactly
-    one end is fixed: h maps the interval into itself, so the fixed point
-    lies in its closure; inside it would push one end outward, and two
-    fixed ends would make F the identity.
+    That is exactly when a parabolic branch follows itself: F(I) shares f
+    with I, and a Markov image meeting I holds it; conversely h maps I into
+    itself, so its one fixed point lies in the closure, and inside it would
+    push one end outward.  With F taken at trace 2 and N = F - I, N^2 = 0,
+    so F^n = I + nN and F fixes the ends N annihilates.  M is the Moebius
+    map sending the other end e to 0, f to inf and h(e) to 1, so it
+    conjugates F to x -> x - 1 and maps I onto (0, inf): the letter repeats
+    exactly ceil(M x) times from x, and the run ends at (I + nN) x.  Points
+    are integer pairs (v1, v2) for v1/v2, with (1, 0) for an unbounded end.
     """
     g, h = rec.h_inv, rec.h
     if abs(g.a + g.d) != 2:
@@ -159,8 +159,10 @@ def _parabolic_run(rec: BranchRecord) -> tuple[tuple, tuple] | None:
     s = (g.a + g.d) // 2
     N = (s * g.a - 1, s * g.b, s * g.c, s * g.d - 1)
     ends = [(1, 0) if v is None else (v.numerator, v.denominator) for v in (rec.interval.lo, rec.interval.hi)]
-    u, v = ends[0]
-    f, e = ends if N[0] * u + N[1] * v == 0 == N[2] * u + N[3] * v else ends[::-1]
+    fixed = [N[0] * u + N[1] * v == 0 == N[2] * u + N[3] * v for u, v in ends]
+    if not any(fixed):
+        return None
+    f, e = ends if fixed[0] else ends[::-1]
     y = (h.a * e[0] + h.b * e[1], h.c * e[0] + h.d * e[1])
     det = lambda u, v: u[0] * v[1] - u[1] * v[0]
     fy, ey = det(f, y), det(e, y)
@@ -191,21 +193,20 @@ class BranchTable:
     2i + 1 is cuts[i]; _at holds the branch index at each position (None
     on the cuts and in empty gaps), _images the positions of the ends of
     each branch image (-1 and len(_at) when unbounded).  _runs maps the
-    label of each parabolic branch that follows itself to its (M, N), see
-    _parabolic_run: code_future takes the runs of these letters in one step.
+    label of each parabolic branch that follows itself to its (M, N), read
+    off each branch alone by _parabolic_run: code_future takes the runs of
+    these letters in one step.
     """
 
     p: int
     branches: tuple[BranchRecord, ...]
-    _by_label: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _by_label: dict = field(init=False, repr=False, compare=False)
     _cuts: tuple = field(init=False, repr=False, compare=False)
     _at: tuple = field(init=False, repr=False, compare=False)
     _images: tuple = field(init=False, repr=False, compare=False)
     _runs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for rec in self.branches:
-            self._by_label[rec.label] = rec
         ivs = [rec.interval for rec in self.branches]
         if any(a.hi is None or b.lo is None or compare(a.hi, b.lo) != EQUAL for a, b in zip(ivs, ivs[1:])):
             raise ValueError("branch intervals must be consecutive")
@@ -219,8 +220,9 @@ class BranchTable:
         end = lambda e, unbounded: unbounded if e is None else self._locate(e)[0]
         images = tuple((end(r.image.lo, -1), end(r.image.hi, len(at))) for r in self.branches)
         object.__setattr__(self, "_images", images)
-        runs = {rec.label: _parabolic_run(rec) for k, rec in enumerate(self.branches) if k in self.follows(k)}
-        object.__setattr__(self, "_runs", {label: run for label, run in runs.items() if run})
+        object.__setattr__(self, "_by_label", {rec.label: rec for rec in self.branches})
+        runs = {rec.label: run for rec in self.branches if (run := _parabolic_run(rec))}
+        object.__setattr__(self, "_runs", runs)
 
     def branch(self, label) -> BranchRecord:
         return self._by_label[label]
@@ -325,21 +327,20 @@ class BranchTable:
 
 
 def branch_table(p: int) -> BranchTable:
-    """The cusp-expansion branch table for Gamma_0(p)."""
-    spheres = _domain(_require_prime(p)).spheres  # spheres[k - 1] is |pz - k| = 1
-    frac = lambda n, d=1: Rational(Fraction(n, d))
+    """The cusp-expansion branch table for Gamma_0(p); letter k in 1..p-1
+    takes the element that carries the second precell of cell k."""
+    _require_prime(p)
     h_neg = GroupElement(-1, 0, p, -1)
     records = []
     add = lambda *row: records.append(_record(*row))
 
-    add(NEG_INF_LABEL, None, frac(-1, p), frac(0), None, h_neg, Fraction(0), -1)
-    add(-1, frac(-1, p), frac(0), frac(0), None, h_neg, Fraction(0), -1)
-    add(0, frac(0), frac(1, p), None, frac(0), GroupElement(1, 0, p, 1), Fraction(0), +1)
-    for k in range(1, p - 1):
-        a = (-pow(k + 1, -1, p)) % p
-        add(k, frac(k, p), frac(k + 1, p), None, frac(k, p), spheres[a - 1].element, Fraction(k, p), +1)
-    add(p - 1, frac(p - 1, p), frac(1), None, frac(p - 1, p), spheres[0].element, Fraction(p - 1, p), +1)
-    add(p, frac(1), None, None, frac(1), GroupElement(1, 1, 0, 1), Fraction(p - 1, p), +1)
+    add(NEG_INF_LABEL, None, Rational(-1, p), Rational(0), None, h_neg, Fraction(0), -1)
+    add(-1, Rational(-1, p), Rational(0), Rational(0), None, h_neg, Fraction(0), -1)
+    add(0, Rational(0), Rational(1, p), None, Rational(0), GroupElement(1, 0, p, 1), Fraction(0), +1)
+    for k in range(1, p):
+        lo = Rational(k, p)
+        add(k, lo, Rational(k + 1, p), None, lo, cell(p, k).decomposition[1][0], Fraction(k, p), +1)
+    add(p, Rational(1), None, None, Rational(1), GroupElement(1, 1, 0, 1), Fraction(p - 1, p), +1)
 
     return BranchTable(p=p, branches=tuple(records))
 

@@ -74,9 +74,6 @@ class Geodesic:
         if compare(self.forward, self.backward) == EQUAL:
             raise ValueError("geodesic endpoints must be distinct")
 
-    def is_vertical(self) -> bool:
-        return isinstance(self.forward, Infinity) or isinstance(self.backward, Infinity)
-
     def field(self) -> int | None:
         dx = _field_of(self.forward)
         dy = _field_of(self.backward)
@@ -292,8 +289,6 @@ def first_return_geometric(sp: SectionPoint, table: BranchTable) -> ReturnRecord
     crossing: a line j/q crossed left to right, or the line 0 crossed
     right to left for Gamma_0(p).
     """
-    if sp.geodesic.is_vertical():
-        raise ValueError("first return needs a finite irrational forward endpoint")
     if isinstance(sp.geodesic.forward, Rational):
         raise ValueError("forward endpoint is a cusp point; no exterior return exists")
     return _search(sp, table, forward=True)
@@ -305,8 +300,6 @@ def previous_exterior_geometric(sp: SectionPoint, table: BranchTable) -> ReturnR
     None means the backward endpoint is a grid cusp reached through
     representative crossings only.
     """
-    if sp.geodesic.is_vertical():
-        raise ValueError("previous return needs finite endpoints")
     return _search(sp, table, forward=False)
 
 

@@ -16,6 +16,7 @@ from cuspdyn.dynamics import (
     OutsideDomainError,
     PrecisionExhausted,
     Termination,
+    _parabolic_run,
     accelerate_to_cf,
     apply_F,
     branch_table,
@@ -573,13 +574,34 @@ def test_code_trace_prints_the_letter_loop_states(t, capsys, monkeypatch):
         assert data == {**seq.to_json(), "states": [emit_value(s) for s in states]}, (value, cap)
 
 
-@pytest.mark.parametrize("t", TABLES + [branch_table(p) for p in (7, 11, 17)], ids=lambda t: t.name)
+@pytest.mark.parametrize("t", TABLES + [branch_table(p) for p in (7, 11, 17, 101, 211)], ids=lambda t: t.name)
 def test_run_letters_are_the_parabolic_ones_that_follow_themselves(t):
     # hyperbolic branches that follow themselves (trace 3 for p = 5 and 11) take single steps
     assert set(t._runs) == ({0, 1} if t.p == 1 else {-1, 0, t.p})
+    for k, rec in enumerate(t.branches):
+        g = rec.h_inv
+        assert (rec.label in t._runs) == (abs(g.a + g.d) == 2 and k in t.follows(k)), rec.label
     for label, (_, (a, b, c, d)) in t._runs.items():
         g = t.branch(label).h_inv
         assert g * g * g == GroupElement(1 + 3 * a, 3 * b, 3 * c, 1 + 3 * d)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13))
+def test_parabolic_run_needs_a_fixed_end(p):
+    # F of the -inf branch is parabolic and fixes 0, which is not an end of (-inf, -1/p)
+    rec = branch_table(p).branch(NEG_INF_LABEL)
+    g = rec.h_inv
+    assert abs(g.a + g.d) == 2 and g.apply_boundary(Rational(0)) == Rational(0)
+    assert _parabolic_run(rec) is None
+
+
+def test_tables_build_without_transitions(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("a table build asked for the transitions")
+
+    monkeypatch.setattr(BranchTable, "follows", refuse)
+    for t in (modular_table(), branch_table(2), branch_table(13)):
+        assert set(t._runs) == ({0, 1} if t.p == 1 else {-1, 0, t.p})
 
 
 def test_period_closing_at_the_cap_inside_a_run():

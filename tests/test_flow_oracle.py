@@ -110,6 +110,16 @@ def test_first_return_rejects_cusp_forward():
         first_return_geometric(sp, tm)
 
 
+@pytest.mark.parametrize("forward, backward, direction", [(INF, ONE_MINUS_PHI, +1), (ONE_MINUS_PHI, INF, -1)],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("search", [first_return_geometric, previous_exterior_geometric])
+def test_oracle_rejects_an_infinite_endpoint_once(search, forward, backward, direction):
+    # the field check in _search is the one place that rejects inf
+    sp = SectionPoint(Geodesic(forward, backward), Fraction(0), direction)
+    with pytest.raises(ValueError, match="^oracle geodesics need exact finite endpoints, got inf$"):
+        search(sp, branch_table(5))
+
+
 def test_previous_none_at_singular_backward():
     t5 = branch_table(5)
     geod = Geodesic(normalize_surd(0, 1, 1, 2), Rational(Fraction(1, 5)))

@@ -10,12 +10,14 @@ its run length), transfer cases, transfer on one valid and eleven
 malformed --phi file: densities (among them a boolean node, a boolean
 value and a repeated node), next and traced previous return cases,
 code and return on a ratio of consecutive 627-digit Fibonacci numbers,
-spectrum at three node counts and three betas, and --p given with
---modular, under four values of CUSPDYN_APPROX_ERR.  Invocations whose
-stdout, stderr, exit code or SVG differ are printed grouped by
-subcommand, input kind and outcome; an uncaught exception counts as the
-exit code "uncaught <type>".  The script exits 1 when any invocation
-differs and 0 when none does.
+spectrum at three node counts and three betas, --p given with
+--modular, the branch tables at p = 211 and 1009, and at p = 211 traced
+code on the three run-heavy values and one two-sided code, under four
+values of CUSPDYN_APPROX_ERR.  Invocations whose stdout, stderr, exit
+code or SVG differ are printed grouped by subcommand, input kind and
+outcome; an uncaught exception counts as the exit code "uncaught
+<type>".  The script exits 1 when any invocation differs and 0 when
+none does.
 """
 
 import contextlib, io, json, os, pathlib, re, subprocess, sys, tempfile
@@ -74,6 +76,9 @@ def corpus(readme):
     yield from (["cf", "--x", x, "--digits", "12"] for x in XS + CF_XS)
     yield from (["cf", "--x", "rat:100001/1", "--steps", n] for n in ("4000", "100001"))
     yield ["branches", "--p", "5", "--modular"]
+    yield from (["branches", "--p", p] for p in ("211", "1009"))  # run letters and elements beyond the test levels
+    yield from (["code", "--p", "211", "--x", x, "--steps", "80", "--trace"] for x in TRACED)
+    yield ["code", "--p", "211", "--x", TRACED[0], "--y", YS[0], "--steps", "20", "--past", "20"]
     for level in (["--p", "5"], ["--modular"]):
         for x in FIBS:
             yield from (["code", *level, "--x", x], ["code", *level, "--x", x, "--trace"])
