@@ -217,7 +217,10 @@ class BranchTable:
         at[::2] = [None] * len(below) + list(range(len(ivs))) + [None] * len(above)
         object.__setattr__(self, "_cuts", tuple(cuts))
         object.__setattr__(self, "_at", tuple(at))
-        end = lambda e, unbounded: unbounded if e is None else self._locate(e)[0]
+        # the image ends of a Markov table are cuts, looked up by value; _locate places
+        # any other end.  Of equal cuts the first counts, as in _locate
+        at_cut = {c: 2 * i + 1 for i, c in reversed(list(enumerate(cuts)))}
+        end = lambda e, unbounded: unbounded if e is None else at_cut.get(e) or self._locate(e)[0]
         images = tuple((end(r.image.lo, -1), end(r.image.hi, len(at))) for r in self.branches)
         object.__setattr__(self, "_images", images)
         object.__setattr__(self, "_by_label", {rec.label: rec for rec in self.branches})

@@ -498,6 +498,17 @@ def test_markov_check_fails_off_the_partition():
         BranchTable(p=1, branches=(r1, r0))
 
 
+def test_image_ends_are_placed_as_bisection_places_them():
+    r0, r1 = modular_table().branches
+    half = Rational(Fraction(1, 2))
+    off_cut = BranchTable(p=1, branches=(dataclasses.replace(r0, image=Interval(half, Rational(1))), r1))
+    assert not off_cut.check_markov()
+    tables = [modular_table(), off_cut] + [branch_table(p) for p in (2, 3, 5, 13, 211)]
+    for t in tables:
+        end = lambda e, unbounded: unbounded if e is None else t._locate(e)[0]
+        assert t._images == tuple((end(r.image.lo, -1), end(r.image.hi, len(t._at))) for r in t.branches)
+
+
 # --- jump coding against the letter-by-letter loop --------------------------------
 
 

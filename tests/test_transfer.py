@@ -5,11 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cuspdyn import transfer
 from cuspdyn.dynamics import branch_table, modular_table
 from cuspdyn.exact import Rational, Surd, normalize_surd
 from cuspdyn.sampling import SQUAREFREE, sample_surd_in
 from cuspdyn.transfer import (
     DensityFunction,
+    _bary_rows,
+    _cheb_nodes,
+    _power,
     apply_transfer,
     collocation_matrix,
     functional_equation_residual,
@@ -153,6 +157,92 @@ def test_collocation_semigroup():
 def test_collocation_rejects_tiny_node_count():
     with pytest.raises(ValueError):
         collocation_matrix(modular_table(), 1.0, 3)
+
+
+# --- the per-row collocation build, kept as the reference of the block build ----
+
+
+def _scalar_chart(iv):
+    lo = None if iv.lo is None else iv.lo.to_float()
+    hi = None if iv.hi is None else iv.hi.to_float()
+    if lo is not None and hi is not None:
+        return (lambda t: lo + (hi - lo) * t,
+                lambda x: (x - lo) / (hi - lo),
+                lambda x: x / (hi - lo))
+    if lo is not None:
+        return (lambda t: lo + t / (1.0 - t),
+                lambda x: (x - lo) / (x - lo + 1.0),
+                lambda x: x / (x - lo + 1.0) ** 2)
+    return (lambda t: hi - (1.0 - t) / t,
+            lambda x: 1.0 / (hi - x + 1.0),
+            lambda x: x / (hi - x + 1.0) ** 2)
+
+
+def _bary_coeffs(t, tj, lam):
+    diff = t - tj
+    hit = np.nonzero(diff == 0.0)[0]
+    out = np.zeros_like(tj)
+    if len(hit):
+        out[hit[0]] = 1.0
+        return out
+    terms = lam / diff
+    return terms / terms.sum()
+
+
+def _collocation_by_row(table, beta, n):
+    """(matrix, node_x, node_weight), one row and branch at a time in numpy scalars."""
+    charts = [_scalar_chart(rec.interval) for rec in table.branches]
+    t, lam = _cheb_nodes(n)
+    xs = [np.array([x_of(tt) for tt in t]) for x_of, _, _ in charts]
+    node_x = np.concatenate(xs)
+    node_weight = np.concatenate([np.array([W(x) for x in xc]) for xc, (_, _, W) in zip(xs, charts)])
+    M = np.zeros((len(node_x), len(node_x)), dtype=complex if isinstance(beta, complex) else float)
+    for k, (_, t_of, W) in enumerate(charts):
+        h = table.branches[k].h
+        for m in table.follows(k):
+            for row in range(m * n, (m + 1) * n):
+                x = node_x[row]
+                w = _power(1.0 / (h.c * x + h.d) ** 2, beta)
+                q = (h.a * x + h.b) / (h.c * x + h.d)
+                tq = t_of(q)
+                assert 0.0 < tq < 1.0
+                coeffs = _bary_coeffs(tq, t, lam)
+                M[row, k * n : (k + 1) * n] += w * (node_weight[row] / W(q)) * coeffs
+    return M, node_x, node_weight
+
+
+@pytest.mark.parametrize("level", ["modular", 2, 3, 5, 13])
+def test_block_build_is_bit_identical_to_the_row_loop(level):
+    table = modular_table() if level == "modular" else branch_table(level)
+    for beta in (0.0, 1.0, 1.5, 1 + 0.5j):
+        for n in (4, 5, 16, 33, 64):
+            op = collocation_matrix(table, beta, n)
+            for got, want in zip((op.matrix, op.node_x, op.node_weight), _collocation_by_row(table, beta, n)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def test_block_build_refuses_an_image_outside_its_chart(monkeypatch):
+    chart = transfer._chart
+
+    def shifted(iv):
+        x_of, t_of, W = chart(iv)
+        return x_of, lambda q: t_of(q) + 1.0, W
+
+    monkeypatch.setattr(transfer, "_chart", shifted)
+    with pytest.raises(AssertionError, match="branch image point escaped its chart"):
+        collocation_matrix(modular_table(), 1.0, 8)
+
+
+def test_bary_rows_match_the_row_coefficients_and_node_hits():
+    for n in (4, 5, 16):
+        t, lam = _cheb_nodes(n)
+        tq = np.concatenate([t[[0, n // 2, n - 1]], [0.5 * (t[0] + t[1]), 1e-3, 0.999, 0.5]])
+        rows = _bary_rows(tq, t, lam)
+        for got, point in zip(rows, tq):
+            assert np.array_equal(got, _bary_coeffs(point, t, lam))
+        for i, j in enumerate((0, n // 2, n - 1)):
+            assert np.array_equal(rows[i], np.eye(n)[j])
 
 
 def test_complex_beta():

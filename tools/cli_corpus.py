@@ -10,14 +10,14 @@ its run length), transfer cases, transfer on one valid and eleven
 malformed --phi file: densities (among them a boolean node, a boolean
 value and a repeated node), next and traced previous return cases,
 code and return on a ratio of consecutive 627-digit Fibonacci numbers,
-spectrum at three node counts and three betas, --p given with
---modular, the branch tables at p = 211 and 1009, and at p = 211 traced
-code on the three run-heavy values and one two-sided code, under four
-values of CUSPDYN_APPROX_ERR.  Invocations whose stdout, stderr, exit
-code or SVG differ are printed grouped by subcommand, input kind and
-outcome; an uncaught exception counts as the exit code "uncaught
-<type>".  The script exits 1 when any invocation differs and 0 when
-none does.
+spectrum at 4, 5, 8, 16 and 32 nodes at three betas and at 64 nodes at
+beta 1, --p given with --modular, the branch tables at p = 211 and 1009,
+and at p = 211 traced code on the three run-heavy values and one
+two-sided code, under four values of CUSPDYN_APPROX_ERR.  Invocations
+whose stdout, stderr, exit code or SVG differ are printed grouped by
+subcommand, input kind and outcome; an uncaught exception counts as the
+exit code "uncaught <type>".  The script exits 1 when any invocation
+differs and 0 when none does.
 """
 
 import contextlib, io, json, os, pathlib, re, subprocess, sys, tempfile
@@ -71,8 +71,9 @@ def corpus(readme):
                         for x in ("rat:1/2", "surd:(0+1*sqrt(2))/1"))
         for x in TRACED:
             yield from (["code", *level, "--x", x, "--steps", str(n), "--trace"] for n in range(1, 13))
-        for nodes in ("8", "16", "32"):
+        for nodes in ("4", "5", "8", "16", "32"):
             yield from (["spectrum", *level, "--nodes", nodes, "--beta", beta] for beta in ("1", "1.5", "0.5"))
+        yield ["spectrum", *level, "--nodes", "64", "--beta", "1"]
     yield from (["cf", "--x", x, "--digits", "12"] for x in XS + CF_XS)
     yield from (["cf", "--x", "rat:100001/1", "--steps", n] for n in ("4000", "100001"))
     yield ["branches", "--p", "5", "--modular"]
