@@ -15,16 +15,19 @@ from itertools import groupby
 
 from .exact import (
     EQUAL,
-    GREATER,
     INF,
-    LESS,
     Approx,
     BoundaryValue,
     Infinity,
     PrecisionExhausted,
     Rational,
     Surd,
-    ceil_moebius,
+    _approx,
+    _ceil_parts,
+    _image_parts,
+    _parts,
+    _sign_of_root_combination,
+    _surd,
     compare,
     emit_value,
     floor_exact,
@@ -184,27 +187,53 @@ def _record(label, lo, hi, y_lo, y_hi, h, rep_line, rep_dir) -> BranchRecord:
     )
 
 
+def _position(pairs: tuple, a: int, b: int, c: int, d: int) -> int:
+    """Position of (a + b*sqrt(d))/c among the cuts n/m by bisection: the value
+    minus n/m has the sign of (a*m - n*c) + b*m*sqrt(d), as c, m > 0."""
+    lo, hi = 0, len(pairs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        n, m = pairs[mid]
+        s = _sign_of_root_combination(a * m - n * c, b * m, d)
+        if s < 0:
+            hi = mid
+        elif s > 0:
+            lo = mid + 1
+        else:
+            return 2 * mid + 1
+    return 2 * lo
+
+
+def _span(lo: int, hi: int) -> tuple[int, int]:
+    """First and last position of an Approx with ends at positions lo <= hi: ends
+    apart span the cuts from the first at or above lo to the last at or below hi."""
+    return (lo, hi) if lo == hi else (lo | 1, hi - 1 + hi % 2)
+
+
 @dataclass(frozen=True)
 class BranchTable:
     """Branches of the section map of Gamma_0(p); p = 1 is the modular preset.
 
     The consecutive branch intervals partition the line at their finite
-    ends, the cuts, sorted.  Position 2i is the gap just below cuts[i] and
-    2i + 1 is cuts[i]; _at holds the branch index at each position (None
-    on the cuts and in empty gaps), _images the positions of the ends of
-    each branch image (-1 and len(_at) when unbounded).  _runs maps the
-    label of each parabolic branch that follows itself to its (M, N), read
-    off each branch alone by _parabolic_run: code_future takes the runs of
-    these letters in one step.
+    ends, the cuts, increasing rationals; _pairs holds them as (n, m).
+    Position 2i is the gap just below cuts[i] and 2i + 1 is cuts[i]; _at
+    holds the branch index at each position (None on the cuts and in empty
+    gaps), _images the positions of the ends of each branch image (-1 and
+    len(_at) when unbounded).  _runs maps the label of each parabolic
+    branch that follows itself to its (M, N), read off each branch alone
+    by _parabolic_run: code_future takes the runs of these letters in one
+    step, reading a row (record, key of h^{-1}, run or None) of _steps.
     """
 
     p: int
     branches: tuple[BranchRecord, ...]
     _by_label: dict = field(init=False, repr=False, compare=False)
     _cuts: tuple = field(init=False, repr=False, compare=False)
+    _pairs: tuple = field(init=False, repr=False, compare=False)
     _at: tuple = field(init=False, repr=False, compare=False)
     _images: tuple = field(init=False, repr=False, compare=False)
     _runs: dict = field(init=False, repr=False, compare=False)
+    _steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ivs = [rec.interval for rec in self.branches]
@@ -213,19 +242,25 @@ class BranchTable:
         below = [ivs[0].lo] if ivs[0].lo is not None else []
         above = [ivs[-1].hi] if ivs[-1].hi is not None else []
         cuts = below + [iv.hi for iv in ivs[:-1]] + above
+        pairs = tuple((c.numerator, c.denominator) for c in cuts)
+        if any(n * m2 >= n2 * m for (n, m), (n2, m2) in zip(pairs, pairs[1:])):
+            raise ValueError("branch intervals must be nonempty")
         at = [None] * (2 * len(cuts) + 1)
         at[::2] = [None] * len(below) + list(range(len(ivs))) + [None] * len(above)
         object.__setattr__(self, "_cuts", tuple(cuts))
+        object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_at", tuple(at))
         # the image ends of a Markov table are cuts, looked up by value; _locate places
-        # any other end.  Of equal cuts the first counts, as in _locate
-        at_cut = {c: 2 * i + 1 for i, c in reversed(list(enumerate(cuts)))}
+        # any other end
+        at_cut = {c: 2 * i + 1 for i, c in enumerate(cuts)}
         end = lambda e, unbounded: unbounded if e is None else at_cut.get(e) or self._locate(e)[0]
         images = tuple((end(r.image.lo, -1), end(r.image.hi, len(at))) for r in self.branches)
         object.__setattr__(self, "_images", images)
         object.__setattr__(self, "_by_label", {rec.label: rec for rec in self.branches})
         runs = {rec.label: run for rec in self.branches if (run := _parabolic_run(rec))}
         object.__setattr__(self, "_runs", runs)
+        steps = tuple((rec, rec.h_inv.key(), runs.get(rec.label)) for rec in self.branches)
+        object.__setattr__(self, "_steps", steps)
 
     def branch(self, label) -> BranchRecord:
         return self._by_label[label]
@@ -240,26 +275,18 @@ class BranchTable:
         return [rec.label for rec in self.branches]
 
     def _locate(self, x: BoundaryValue) -> tuple[int, int]:
-        """First and last position of a finite x, by bisection over the cuts.
-
-        They differ only for an Approx within its error of several cuts.
-        """
-        cuts, lo, hi = self._cuts, 0, len(self._cuts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = compare(x, cuts[mid])
-            if c == LESS:
-                hi = mid
-            elif c == GREATER:
-                lo = mid + 1
-            else:
-                first = last = mid
-                while first > 0 and compare(x, cuts[first - 1]) == EQUAL:
-                    first -= 1
-                while last + 1 < len(cuts) and compare(x, cuts[last + 1]) == EQUAL:
-                    last += 1
-                return 2 * first + 1, 2 * last + 1
-        return 2 * lo, 2 * lo
+        """First and last position of x, inf in the last gap; they differ only for
+        an Approx within its error of a cut."""
+        pairs = self._pairs
+        if isinstance(x, Infinity):
+            return 2 * len(pairs), 2 * len(pairs)
+        if isinstance(x, Approx):
+            lo, hi = x.lo, x.hi
+            return _span(_position(pairs, lo.numerator, 0, lo.denominator, 0),
+                         _position(pairs, hi.numerator, 0, hi.denominator, 0))
+        a, b, c, d = _parts(x)
+        i = _position(pairs, a, b, c, d)
+        return i, i
 
     def branch_at(self, x: BoundaryValue) -> BranchRecord | None:
         """The branch whose open interval contains x, or None."""
@@ -439,6 +466,15 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
     letters are kept: the orbit state after letters[:k] is x replayed
     through table.branch(label).apply for each of them.
 
+    The state is a tuple of integer triples (a, b, c) over the radicand d
+    of x (0 for a rational): the parts of an exact value, or of the two
+    rational ends of an Approx.  A step maps each by exact._image_parts, a
+    run lasts the least exact._ceil_parts of them, and seen is keyed by
+    the state.  A value is built only where no branch takes the point
+    (inf, a rational of a level p > 1, a state at a position with no
+    branch), and branch_of raises the cusp, precision-exhausted or
+    outside-domain error.
+
     States are looked up at step starts.  The first repeat there comes
     exactly one period after the earlier state, and the minimal preperiod
     is found by backing off while letters[i-1] == letters[i-1+per]: two
@@ -453,37 +489,43 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if isinstance(x, Infinity) or table.p > 1 and isinstance(x, Rational):
+        return CodingSequence(table.name, (), _stop(table, x, 0))
+    approx = isinstance(x, Approx)
+    parts = [_parts(e) for e in ((x.lo, x.hi) if approx else (x,))]
+    d, state = parts[0][3], tuple(e[:3] for e in parts)
+    pairs, at, steps = table._pairs, table._at, table._steps
     letters: list = []
-    seen: dict = {x: 0}
+    seen: dict = {state: 0}
     repeated: set = set()  # letters that have run more than once
     term = None
-    pos, cur = 0, x
+    pos = 0
     while True:
-        if pos < max_steps:
-            try:
-                rec = table.branch_of(cur)
-            except CuspPointError as err:
-                term = Termination("cusp", pos, at=err.value)
+        a, b, c = state[0]
+        i = _position(pairs, a, b, c, d)
+        k = at[_span(i, _position(pairs, *state[1], d))[0] if approx else i]
+        if pos >= max_steps:
+            if pos > max_steps or k is None or steps[k][0].label not in repeated:
                 break
-            except PrecisionExhausted:
-                term = Termination("precision-exhausted", pos, at=cur)
-                break
-        else:
-            rec = table.branch_at(cur) if pos == max_steps and repeated else None
-            if rec is None or rec.label not in repeated:
-                break
-        run = table._runs.get(rec.label)
-        if run is None:
-            n, nxt = 1, rec.apply(cur)
-        else:
+        elif k is None:
+            ends = [_surd(*e, d) for e in state]
+            term = _stop(table, _approx(*ends) if approx else ends[0], pos)
+            break
+        rec, g, run = steps[k]
+        n = 1
+        if run is not None:
             M, N = run
-            n = ceil_moebius(M, cur)
-            nxt = GroupElement(1 + n * N[0], n * N[1], n * N[2], 1 + n * N[3]).apply_boundary(cur)
+            n = _ceil_parts(M, a, b, c, d)
+            if approx:
+                n = min(n, _ceil_parts(M, *state[1], d))
+            g = (1 + n * N[0], n * N[1], n * N[2], 1 + n * N[3])
             if n > 1:
                 repeated.add(rec.label)
+        image = _image_parts(g, a, b, c, d)
+        state = (image, _image_parts(g, *state[1], d)) if approx else (image,)
         letters.extend([rec.label] * min(n, 2 * max_steps - pos))
-        pos, cur = pos + n, nxt
-        t = seen.setdefault(cur, pos)
+        pos += n
+        t = seen.setdefault(state, pos)
         if t != pos:
             per = pos - t
             if len(letters) == pos:
@@ -502,6 +544,17 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
         letters=tuple(letters),
         termination=term,
     )
+
+
+def _stop(table: BranchTable, x: BoundaryValue, pos: int) -> Termination:
+    """The termination of a coding at an orbit point x that no branch takes; branch_of says why."""
+    try:
+        table.branch_of(x)
+    except CuspPointError as err:
+        return Termination("cusp", pos, at=err.value)
+    except PrecisionExhausted:
+        return Termination("precision-exhausted", pos, at=x)
+    raise AssertionError(f"branch_of placed {emit_value(x)}, which the cut lookup did not")
 
 
 def on_section(rec: BranchRecord, y: BoundaryValue) -> bool:

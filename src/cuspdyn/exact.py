@@ -35,7 +35,10 @@ case refines an interval, so no comparison of two exact finite values
 can fail.  An interval is ordered against a value only when it lies
 strictly on one side, by the same rules on its two ends.  The family is
 closed under integer Moebius maps of determinant one (within one
-quadratic field).
+quadratic field).  Each of the Moebius image and the ceiling of a
+Moebius image is one integer formula over the parts, _image_parts and
+_ceil_parts: GroupElement.apply_boundary, ceil_moebius and the coding
+loop of dynamics.code_future all go through them.
 """
 
 from __future__ import annotations
@@ -443,22 +446,43 @@ def ceil_moebius(matrix: tuple[int, int, int, int], x: BoundaryValue) -> int:
     """Exact ceiling of (a*x + b)/(c*x + d) for matrix = (a, b, c, d).
 
     The integer matrix may have any nonzero determinant; x is a rational
-    or a surd off its pole, or an Approx on which the map is monotone.
-    For a surd the quotient is rationalised by the conjugate of its
-    denominator, so one isqrt decides it.
+    or a surd off its pole.
     """
-    if isinstance(x, Approx):  # M is monotone on the branch that holds the interval
-        return min(ceil_moebius(matrix, x.lo), ceil_moebius(matrix, x.hi))
-    a, b, c, d = matrix
-    if isinstance(x, Rational):
-        p, q = x.numerator, x.denominator
-        return -(-(a * p + b * q) // (c * p + d * q))
-    n0, n1 = a * x.a + b * x.c, a * x.b
-    m0, m1 = c * x.a + d * x.c, c * x.b
-    num0, num1, den = n0 * m0 - n1 * m1 * x.d, n1 * m0 - n0 * m1, m0 * m0 - m1 * m1 * x.d
+    return _ceil_parts(matrix, *_parts(x))
+
+
+def _ceil_parts(M: tuple[int, int, int, int], a: int, b: int, c: int, d: int) -> int:
+    """ceil_moebius at the parts of (a + b*sqrt(d))/c; for a surd the quotient is
+    rationalised by the conjugate of its denominator, so one isqrt decides it."""
+    A, B, C, D = M
+    if b == 0:
+        return -(-(A * a + B * c) // (C * a + D * c))
+    n0, n1 = A * a + B * c, A * b
+    m0, m1 = C * a + D * c, C * b
+    num0, num1, den = n0 * m0 - n1 * m1 * d, n1 * m0 - n0 * m1, m0 * m0 - m1 * m1 * d
     if den < 0:
         num0, num1, den = -num0, -num1, -den
-    return -_floor_root(-num0, -num1, den, x.d)
+    return -_floor_root(-num0, -num1, den, d)
+
+
+def _image_parts(g: tuple[int, int, int, int], a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """Canonical parts (a', b', c') of g((a + b*sqrt(d))/c) for canonical parts and
+    det g = 1: a reduced fraction maps to one (c' = 0 at the pole), and the
+    image of a surd has sqrt(d)-coefficient b*c before one gcd (as in _surd)."""
+    A, B, C, D = g
+    if b == 0:
+        num, den = A * a + B * c, C * a + D * c
+        return (num, 0, den) if den >= 0 else (-num, 0, -den)
+    n0, n1 = A * a + B * c, A * b
+    m0, m1 = C * a + D * c, C * b
+    norm = m0 * m0 - m1 * m1 * d
+    if norm == 0:
+        raise ArithmeticError("denominator norm vanished on an irrational value")
+    a, b, c = n0 * m0 - n1 * m1 * d, b * c, norm
+    if c < 0:
+        a, b, c = -a, -b, -c
+    k = math.gcd(a, b, c)
+    return (a, b, c) if k == 1 else (a // k, b // k, c // k)
 
 
 # --- text grammar -----------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import INF, Approx, BoundaryValue, Infinity, PrecisionExhausted, Rational, Surd
-from .exact import _approx, _coprime, _surd, _value_class
+from .exact import _approx, _coprime, _image_parts, _value_class
 
 __all__ = ["GroupElement", "HPoint", "IsometricSphere", "identity", "in_gamma0"]
 
@@ -62,27 +62,16 @@ class GroupElement:
     def apply_boundary(self, x: BoundaryValue) -> BoundaryValue:
         """Exact image of a boundary value; poles map to inf, inf to a/c.
 
-        The matrix is unimodular, so the image of a reduced fraction is
-        reduced, and the image of (a + b*sqrt(d))/c has sqrt(d)-coefficient
-        b*c before the one gcd of the surd canonicaliser.  The map is
+        Rationals and surds map by exact._image_parts.  The map is
         increasing off its pole, so an Approx interval that avoids the pole
         maps end to end; one that holds it raises PrecisionExhausted.
         """
-        A, B, C, D = self.a, self.b, self.c, self.d
+        A, B, C, D = g = self.a, self.b, self.c, self.d
         if isinstance(x, Surd):
-            a, b, c, d = x.a, x.b, x.c, x.d
-            n0, n1 = A * a + B * c, A * b
-            m0, m1 = C * a + D * c, C * b
-            norm = m0 * m0 - m1 * m1 * d
-            if norm == 0:
-                raise ArithmeticError("denominator norm vanished on an irrational value")
-            return _surd(n0 * m0 - n1 * m1 * d, b * c, norm, d)
+            return Surd(*_image_parts(g, x.a, x.b, x.c, x.d), x.d)
         if isinstance(x, Rational):
-            p, q = x.numerator, x.denominator
-            num, den = A * p + B * q, C * p + D * q
-            if den == 0:
-                return INF
-            return _coprime(num, den) if den > 0 else _coprime(-num, -den)
+            a, _, c = _image_parts(g, x.numerator, 0, x.denominator, 0)
+            return _coprime(a, c) if c else INF
         if isinstance(x, Infinity):
             return INF if C == 0 else _coprime(A, C)
         if isinstance(x, Approx):

@@ -28,6 +28,7 @@ from cuspdyn.dynamics import (
     modular_table,
     on_section,
 )
+from cuspdyn import dynamics, exact
 from cuspdyn.cli import main
 from cuspdyn.exact import INF, LESS, Approx, Rational, Surd, compare, emit_value, normalize_surd, parse_value
 from cuspdyn.moebius import GroupElement
@@ -423,6 +424,20 @@ def test_branch_lookup_matches_interval_scan(t):
 
 
 @pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_approx_ends_on_cuts_are_located_as_the_scan_places_them(t):
+    # intervals with one or both ends exactly on a cut; cuts with denominator 2^k are floats
+    dyadic = [c.to_float() for c in t._cuts if c.denominator & (c.denominator - 1) == 0]
+    e = 2.0**-10
+    points = [Approx(u + s * e, e) for u in dyadic for s in (-1, 1)]
+    points += [Approx((u + v) / 2, (v - u) / 2) for u in dyadic for v in dyadic if u <= v]
+    for x in points:
+        on = [2 * i + 1 for i, c in enumerate(t._cuts) if compare(x, c) == 0]
+        above = 2 * sum(compare(x, c) == 1 for c in t._cuts)
+        assert t._locate(x) == ((on[0], on[-1]) if on else (above, above)), x
+        assert _outcome(t.branch_of, x) == _outcome(_scan_branch_of, t, x), x
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
 def test_inverse_branches_match_image_scan(t):
     rng = random.Random(43)
     ends = [e for rec in t.branches for e in (rec.image.lo, rec.image.hi) if e is not None]
@@ -496,6 +511,13 @@ def test_markov_check_fails_off_the_partition():
     assert tm.check_markov()
     with pytest.raises(ValueError, match="consecutive"):
         BranchTable(p=1, branches=(r1, r0))
+
+
+def test_tables_refuse_an_empty_branch():
+    r0, r1 = modular_table().branches
+    empty = dataclasses.replace(r0, interval=Interval(Rational(1), Rational(1)))
+    with pytest.raises(ValueError, match="nonempty"):
+        BranchTable(p=1, branches=(r0, empty, r1))
 
 
 def test_image_ends_are_placed_as_bisection_places_them():
@@ -630,13 +652,30 @@ def test_period_closing_at_the_cap_inside_a_run():
 def test_jump_coding_applies_one_element_per_run(monkeypatch):
     tm = modular_table()
     calls = []
-    apply = GroupElement.apply_boundary
-    monkeypatch.setattr(GroupElement, "apply_boundary", lambda g, v: calls.append(g) or apply(g, v))
+    image = dynamics._image_parts
+    monkeypatch.setattr(dynamics, "_image_parts", lambda g, *parts: calls.append(g) or image(g, *parts))
     seq = code_future(tm, Rational(Fraction(1000001, 2)), 10**6)
     # 1000001/2 runs 500000 letters 1 to 1/2, one letter 0 to the cusp 1
     assert seq.letters == (1,) * 500000 + (0,)
     assert seq.termination == Termination("cusp", 500001, at=Rational(1))
     assert len(calls) == 2
+
+
+def test_coding_builds_no_values_on_long_periods(monkeypatch):
+    # the run-heavy orbits of the coding benchmark step on integer parts alone
+    cases = [(modular_table(), "surd:(564+147*sqrt(10))/25", 4, 47360),
+             (branch_table(5), "surd:(157+4*sqrt(26))/200", 0, 1312)]
+    want = [code_future(t, parse_value(x), 10**6) for t, x, _, _ in cases]
+
+    def refuse(*args):
+        raise AssertionError("the coding loop went through the value layer")
+
+    monkeypatch.setattr(GroupElement, "apply_boundary", refuse)
+    monkeypatch.setattr(exact, "compare", refuse)
+    monkeypatch.setattr(dynamics, "compare", refuse)
+    for (t, x, pre, per), seq in zip(cases, want):
+        assert seq.termination == Termination("periodic", pre + per, preperiod=pre, period=per)
+        assert code_future(t, parse_value(x), 10**6) == seq
 
 
 # --- Approx intervals: every reported letter is that of every point ------------

@@ -12,12 +12,14 @@ value and a repeated node), next and traced previous return cases,
 code and return on a ratio of consecutive 627-digit Fibonacci numbers,
 spectrum at 4, 5, 8, 16 and 32 nodes at three betas and at 64 nodes at
 beta 1, --p given with --modular, the branch tables at p = 211 and 1009,
-and at p = 211 traced code on the three run-heavy values and one
-two-sided code, under four values of CUSPDYN_APPROX_ERR.  Invocations
-whose stdout, stderr, exit code or SVG differ are printed grouped by
-subcommand, input kind and outcome; an uncaught exception counts as the
-exit code "uncaught <type>".  The script exits 1 when any invocation
-differs and 0 when none does.
+at p = 211 traced code on the three run-heavy values and one two-sided
+code, modular code to 50,000 letters on the three longest periods of the
+coding benchmark (the first also under cf, to 24 and to 2,100 digits),
+and code at p = 5 on a 1,312-letter period, under four values of
+CUSPDYN_APPROX_ERR.  Invocations whose stdout, stderr, exit code or SVG
+differ are printed grouped by subcommand, input kind and outcome; an
+uncaught exception counts as the exit code "uncaught <type>".  The
+script exits 1 when any invocation differs and 0 when none does.
 """
 
 import contextlib, io, json, os, pathlib, re, subprocess, sys, tempfile
@@ -31,6 +33,7 @@ XS = ["rat:7/3", "rat:-5/7", "rat:1000001/2", "surd:(1+1*sqrt(5))/2", "surd:(-1+
 YS = ["surd:(0+-1*sqrt(2))/1", "rat:-1/3", "surd:(1+1*sqrt(2))/3", "approx:-0.5", "approx:-3.7"]
 CF_XS = ["surd:(0+1*sqrt(2))/1", "surd:(0+1*sqrt(13))/1", "surd:(0+1*sqrt(41))/1"]  # odd digit periods
 TRACED = ["surd:(0+1*sqrt(101))/1", "surd:(1+-1*sqrt(101))/100", "approx:10.04987562112089"]  # runs of p, 0, -1
+HEAVY = ["surd:(564+147*sqrt(10))/25", "surd:(865+98*sqrt(2))/32", "surd:(479+-147*sqrt(7))/38"]  # periods of 10,659-47,360 letters
 PHI_FILES = {  # written to the working directory of each run
     "phi-ok.json": '{"nodes": [0, 1, 2, 4], "values": [1, 0.5, 0.25, 0.5]}',
     "phi-empty.json": "{}",
@@ -80,6 +83,9 @@ def corpus(readme):
     yield from (["branches", "--p", p] for p in ("211", "1009"))  # run letters and elements beyond the test levels
     yield from (["code", "--p", "211", "--x", x, "--steps", "80", "--trace"] for x in TRACED)
     yield ["code", "--p", "211", "--x", TRACED[0], "--y", YS[0], "--steps", "20", "--past", "20"]
+    yield from (["code", "--modular", "--x", x, "--steps", "50000"] for x in HEAVY)
+    yield from (["cf", "--x", HEAVY[0], "--steps", "50000", "--digits", n] for n in ("24", "2100"))
+    yield ["code", "--p", "5", "--x", "surd:(157+4*sqrt(26))/200", "--steps", "2000"]
     for level in (["--p", "5"], ["--modular"]):
         for x in FIBS:
             yield from (["code", *level, "--x", x], ["code", *level, "--x", x, "--trace"])
