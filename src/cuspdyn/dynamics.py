@@ -21,7 +21,6 @@ from .exact import (
     Infinity,
     PrecisionExhausted,
     Rational,
-    Surd,
     _approx,
     _ceil_parts,
     _image_parts,
@@ -30,7 +29,6 @@ from .exact import (
     _surd,
     compare,
     emit_value,
-    floor_exact,
 )
 from .moebius import GroupElement
 from .tessellation import _require_prime, cell, group_name, matrix_literal
@@ -53,8 +51,6 @@ __all__ = [
     "on_section",
     "accelerate_to_cf",
     "cusp_witness",
-    "continued_fraction_rational",
-    "continued_fraction_surd",
 ]
 
 NEG_INF_LABEL = float("-inf")
@@ -562,15 +558,25 @@ def on_section(rec: BranchRecord, y: BoundaryValue) -> bool:
 
     The reduced section holds the pairs with a representative line
     crossing: y lies beyond rep_line on the side opposite rep_dir.  That
-    is one compare; the printed y_interval is the product rectangle that
-    contains it.  An Approx y that holds the line raises PrecisionExhausted.
+    is one integer sign rule on the parts of y; the printed y_interval is
+    the product rectangle that contains it.  An Approx y that holds the
+    line raises PrecisionExhausted.
     """
     if isinstance(y, Infinity):
         return False
-    side = compare(y, Rational(rec.rep_line))
-    if side == EQUAL and isinstance(y, Approx):
-        raise PrecisionExhausted(f"backward endpoint {emit_value(y)} holds the line {rec.rep_line}")
-    return side == -rec.rep_dir
+    if isinstance(y, Approx):
+        side = compare(y, Rational(rec.rep_line))
+        if side == EQUAL:
+            raise PrecisionExhausted(f"backward endpoint {emit_value(y)} holds the line {rec.rep_line}")
+        return side == -rec.rep_dir
+    return _beyond_line(rec, *_parts(y))
+
+
+def _beyond_line(rec: BranchRecord, a: int, b: int, c: int, d: int) -> bool:
+    """on_section at y = (a + b*sqrt(d))/c, c = 0 being inf: y - n/m has the
+    sign of (a*m - n*c) + b*m*sqrt(d) for rep_line = n/m, as c, m > 0."""
+    n, m = rec.rep_line.numerator, rec.rep_line.denominator
+    return c != 0 and _sign_of_root_combination(a * m - n * c, b * m, d) == -rec.rep_dir
 
 
 def code_two_sided(
@@ -584,10 +590,12 @@ def code_two_sided(
 
     Future letters follow the first coordinate; past letters are found by
     the unique k with (h_k x, h_k y) on the reduced section over k, among
-    the branches whose image contains x.  Finding two such k, or none for
-    an irrational pair, is an internal error.  A rational end stops the
-    past side at the cusp; an Approx pair that an h_k maps across its pole
-    or onto a representative line stops it as precision-exhausted.
+    the branches whose image contains x; an exact y is mapped and tested
+    on its integer parts, and only the pair of the one k found is built.
+    Finding two such k, or none for an irrational pair, is an internal
+    error.  A rational end stops the past side at the cusp; an Approx pair
+    that an h_k maps across its pole or onto a representative line stops
+    it as precision-exhausted.
     """
     if compare(x, y) == EQUAL:
         raise ValueError("geodesic endpoints must be distinct")
@@ -599,12 +607,13 @@ def code_two_sided(
     past_term = None
     cx, cy = x, y
     for step in range(n_past):
-        hits = []
+        covering = table._covering(*table._locate(cx))
         try:
-            for rec in table._covering(*table._locate(cx)):
-                by = rec.h.apply_boundary(cy)
-                if on_section(rec, by):
-                    hits.append((rec, rec.h.apply_boundary(cx), by))
+            if isinstance(cx, Approx) or isinstance(cy, Approx):
+                hits = [rec for rec in covering if on_section(rec, rec.h.apply_boundary(cy))]
+            else:
+                a, b, c, d = _parts(cy)
+                hits = [rec for rec in covering if _beyond_line(rec, *_image_parts(rec.h.key(), a, b, c, d), d)]
         except PrecisionExhausted:
             past_term = Termination("precision-exhausted", step)
             break
@@ -612,10 +621,9 @@ def code_two_sided(
             past_term = Termination("cusp", step, at=cy)
             break
         if len(hits) != 1:
-            raise AssertionError(
-                f"past branch not unique at step {step}: {[h[0].label for h in hits]}"
-            )
-        rec, cx, cy = hits[0]
+            raise AssertionError(f"past branch not unique at step {step}: {[rec.label for rec in hits]}")
+        rec = hits[0]
+        cx, cy = rec.h.apply_boundary(cx), rec.h.apply_boundary(cy)
         past_letters.append(rec.label)
     if past_term is None:
         past_term = Termination("step-cap", len(past_letters))
@@ -718,35 +726,3 @@ def accelerate_to_cf(seq: CodingSequence, max_digits: int = 64) -> CFDigits:
 def _rle(letters) -> list[tuple[object, int]]:
     return [(label, len(list(run))) for label, run in groupby(letters)]
 
-
-# --- floor-and-invert oracles ------------------------------------------------
-
-
-def continued_fraction_rational(r: Fraction) -> list[int]:
-    """Terminating CF digits of a rational by floor-and-invert."""
-    digits = []
-    while True:
-        n = r.numerator // r.denominator
-        digits.append(n)
-        r -= n
-        if r == 0:
-            return digits
-        r = 1 / r
-
-
-def continued_fraction_surd(x: Surd) -> tuple[list[int], list[int]]:
-    """(preperiod, period) CF digits of a quadratic surd, exactly."""
-    seen: dict = {}
-    digits: list[int] = []
-    cur: BoundaryValue = x
-    while True:
-        if cur in seen:
-            i = seen[cur]
-            return digits[:i], digits[i:]
-        seen[cur] = len(digits)
-        n = floor_exact(cur)
-        digits.append(n)
-        frac_part = cur - Rational(n)
-        cur = frac_part.reciprocal()
-        if not isinstance(cur, Surd):
-            raise AssertionError("surd orbit left the quadratic field")

@@ -38,7 +38,9 @@ closed under integer Moebius maps of determinant one (within one
 quadratic field).  Each of the Moebius image and the ceiling of a
 Moebius image is one integer formula over the parts, _image_parts and
 _ceil_parts: GroupElement.apply_boundary, ceil_moebius and the coding
-loop of dynamics.code_future all go through them.
+loop of dynamics.code_future all go through them, and the past step of
+dynamics.code_two_sided and the first-return oracle (flow_oracle) map
+points by _image_parts.
 """
 
 from __future__ import annotations

@@ -16,6 +16,13 @@ endpoint e in the cusp orbit of inf, then renormalized exactly by
 g^{-1}.  The branch tables are not consulted for any of this: they only
 supply the group and name the letter of the element found.
 
+The walk runs on integer parts: the endpoint t is (a, b, c, d) for
+(a + b*sqrt(d))/c, grid points and side ends are integer pairs (n, m)
+for n/m with (1, 0) for inf, images are exact._image_parts and each
+order test is one integer sign rule.  Values are built only for what
+the returned record holds.  Its crossing point and interior crossings
+are read by output alone, so they are computed when first read.
+
 Exact crossing positions need products of the two endpoint values, so
 the oracle requires both endpoints in a single real quadratic field
 (rationals allowed); this covers every geodesic the conjugacy and
@@ -24,23 +31,32 @@ classification tests use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import (
     EQUAL,
+    GREATER,
     INF,
     LESS,
     BoundaryValue,
     Infinity,
     Rational,
     Surd,
+    _coprime,
+    _floor_root,
+    _image_parts,
+    _parts,
+    _rational,
+    _sign_of_root_combination,
+    _surd,
     compare,
     emit_value,
-    floor_exact,
 )
-from .dynamics import BranchTable, cusp_witness, label_to_json, on_section
-from .moebius import GroupElement, identity
+from .dynamics import BranchTable, label_to_json, on_section
+from .moebius import GroupElement
 from .tessellation import matrix_literal
 
 __all__ = [
@@ -112,11 +128,11 @@ class SectionPoint:
 
     def __post_init__(self):
         x, y = self.geodesic.forward, self.geodesic.backward
-        line = Rational(self.line)
+        line = _coprime(self.line.numerator, self.line.denominator)
         if self.direction == +1:
-            ok = compare(y, line) == LESS and compare(line, x) == LESS
+            ok = compare(y, line) == LESS and compare(x, line) == GREATER
         elif self.direction == -1:
-            ok = compare(x, line) == LESS and compare(line, y) == LESS
+            ok = compare(x, line) == LESS and compare(y, line) == GREATER
         else:
             raise ValueError(f"direction must be +1 or -1, got {self.direction!r}")
         if not ok:
@@ -139,14 +155,36 @@ class SectionPoint:
 
 @dataclass(frozen=True)
 class ReturnRecord:
+    """_start is the geodesic searched, _side the crossed side's ends and
+    _interiors the representative lines crossed before it, as pairs (n, m)
+    for n/m with (1, 0) for inf.  _start and _side follow from translate,
+    renormalized and line, so they take no part in equality."""
+
     letter: object
     translate: GroupElement
     line: Fraction
     direction: int
-    crossing: CrossingPoint
     renormalized: SectionPoint
     interior_first: bool
-    interior_crossings: tuple[CrossingPoint, ...]
+    _start: Geodesic = field(repr=False, compare=False)
+    _side: tuple = field(repr=False, compare=False)
+    _interiors: tuple = field(repr=False)
+
+    @cached_property
+    def crossing(self) -> CrossingPoint:
+        """Where the geodesic crosses the side: the side's grid point when it
+        is a vertical line, else where the two circles meet."""
+        x, y = self._start.forward, self._start.backward
+        (un, um), (vn, vm) = self._side
+        pos = u = _rational(un, um)
+        if vm:
+            v = _rational(vn, vm)
+            pos = (u * v - x * y) / ((u + v) - (x + y))
+        return _crossing(self._start, pos)
+
+    @cached_property
+    def interior_crossings(self) -> tuple[CrossingPoint, ...]:
+        return tuple(_crossing(self._start, _rational(*e)) for e in self._interiors)
 
     def to_json(self) -> dict:
         return {
@@ -181,34 +219,37 @@ def _representative(table: BranchTable, m: int, direction: int) -> bool:
 def _walk(sp: SectionPoint, table: BranchTable, forward: bool):
     """First non-representative side crossed after sp, towards x or back towards y.
 
-    Returns (side endpoints, representative lines crossed before it);
-    the side is None when the geodesic runs into a grid cusp first.
+    Returns (side endpoints, representative lines crossed before it), all
+    integer pairs (n, m) for n/m with (1, 0) for inf; the side is None
+    when the geodesic runs into a grid cusp first.  With t = (a +
+    b*sqrt(d))/c, q*t lies in the cell floor(q*t), and on the grid
+    exactly when b = 0 and c divides q*a.
     """
     q = table.p
-    j = sp.line * q
-    if j.denominator != 1 or not _representative(table, j.numerator, sp.direction):
+    j, off = divmod(sp.line.numerator * q, sp.line.denominator)
+    if off or not _representative(table, j, sp.direction):
         raise ValueError(
             f"line {sp.line} in direction {sp.direction:+d} is not a representative crossing"
         )
-    t = sp.geodesic.forward if forward else sp.geodesic.backward
+    a, b, c, d = _parts(sp.geodesic.forward if forward else sp.geodesic.backward)
     step = sp.direction if forward else -sp.direction
-    qt = t * Rational(q)
-    cell = floor_exact(qt)
-    on_grid = isinstance(qt, Rational) and qt.denominator == 1
+    cell = _floor_root(q * a, q * b, c, d)
+    on_grid = b == 0 and q * a % c == 0
     # grid lines strictly between the start line and t, in scan order
     last = cell + 1 if step < 0 else cell - on_grid
     interiors = []
-    for m in range(j.numerator + step, last + step, step):
+    for m in range(j + step, last + step, step):
         if not _representative(table, m, sp.direction):
-            return (Rational(m, q), INF), interiors
-        interiors.append(Rational(m, q))
+            return ((m, q), (1, 0)), interiors
+        interiors.append((m, q))
     if on_grid:
         return None, interiors
-    return (Rational(cell, q), Rational(cell + 1, q)), interiors
+    return ((cell, q), (cell + 1, q)), interiors
 
 
-def _labels(table: BranchTable, ends: tuple[BoundaryValue, BoundaryValue]) -> list:
-    """Every (g, base) with g.(line base) the geodesic between ends.
+def _labels(table: BranchTable, ends: tuple[tuple[int, int], tuple[int, int]]) -> list:
+    """Every (g, j) with g.(line j/q) the geodesic between the ends, pairs (n, m)
+    for n/m with (1, 0) for inf; g is a determinant-one integer 4-tuple.
 
     For an end e in the cusp orbit of inf, the elements sending inf to e
     are w^{-1} T^n with w(e) = inf; the other end o = w^{-1}(r) then
@@ -221,18 +262,22 @@ def _labels(table: BranchTable, ends: tuple[BoundaryValue, BoundaryValue]) -> li
     """
     q = table.p
     out = []
-    for e, o in (ends, ends[::-1]):
-        if isinstance(e, Infinity):
-            w = identity()
+    for (en, em), (on, om) in (ends, ends[::-1]):
+        if em == 0:
+            w = (1, 0, 0, 1)
         else:
-            orbit, w = cusp_witness(table.p, e)
-            if orbit != "inf":
+            k = math.gcd(en, em)
+            en, em = en // k, em // k
+            if em % q:  # e is in the cusp orbit of 0
                 continue
-        r = w.apply_boundary(o)
-        n = floor_exact(r)
-        base = Fraction(r.numerator - n * r.denominator, r.denominator)
-        if q % base.denominator == 0:
-            out.append((w.inv() * GroupElement(1, n, 0, 1), base))
+            # w(e) = inf as in dynamics.cusp_witness: pole at e, and s*en = 1 mod em
+            s = pow(en, -1, em)
+            w = (s, (1 - s * en) // em, -em, en)
+        rn, _, rd = _image_parts(w, on, 0, om, 0)
+        n = rn // rd
+        if q % rd == 0:
+            A, B, C, D = w
+            out.append(((D, D * n - B, -C, A - C * n), (rn - n * rd) * (q // rd)))
     return out
 
 
@@ -243,38 +288,40 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     side, interiors = _walk(sp, table, forward)
     if side is None:
         return None
-    x, y = geod.forward, geod.backward
-    u, v = side
-    pos = u if isinstance(v, Infinity) else (u * v - x * y) / ((u + v) - (x + y))
-    for g, base in _labels(table, side):
-        ginv = g.inv()
-        xt, yt = ginv.apply_boundary(x), ginv.apply_boundary(y)
-        line = Rational(base)
-        direction = 1 if compare(yt, line) == LESS else -1
-        if _representative(table, int(base * table.p), direction):
+    q = table.p
+    ya, yb, yc, d = _parts(geod.backward)
+    for g, j in _labels(table, side):
+        A, B, C, D = g
+        a, b, c = _image_parts((D, -B, -C, A), ya, yb, yc, d)
+        direction = 1 if _sign_of_root_combination(a * q - j * c, b * q, d) < 0 else -1
+        if _representative(table, j, direction):
             break
     else:
         raise AssertionError("the crossed side has no representative label")
+    g = GroupElement(*g)
+    ginv = g.inv()
+    base = Fraction(j, q)
+    xt, yt = ginv.apply_boundary(geod.forward), _surd(a, b, c, d)
     # the branch of the point before the crossing names the letter: a next
     # crossing lands on branch k's target line, a previous one sits on
     # h_k^{-1} . (representative line of branch k)
     if forward:
-        rec = table.branch_at(x)
-        ok = rec is not None and (rec.h, rec.target) == (g, (line, direction))
+        rec = table.branch_at(geod.forward)
+        ok = rec is not None and (rec.h, rec.target) == (g, (_rational(j, q), direction))
     else:
         rec = table.branch_at(xt)
         ok = rec is not None and (rec.h, rec.rep_line, rec.rep_dir) == (ginv, base, direction)
-    letter = rec.label if ok else None
 
     return ReturnRecord(
-        letter=letter,
+        letter=rec.label if ok else None,
         translate=g,
         line=base,
         direction=direction,
-        crossing=_crossing(geod, pos),
         renormalized=SectionPoint(Geodesic(forward=xt, backward=yt), base, direction),
         interior_first=bool(interiors),
-        interior_crossings=tuple(_crossing(geod, c) for c in interiors),
+        _start=geod,
+        _side=side,
+        _interiors=tuple(interiors),
     )
 
 
@@ -319,7 +366,10 @@ def classify(geod: Geodesic, table: BranchTable) -> dict:
 
     inf_future = infinitely_often(geod.forward)
     inf_past = infinitely_often(geod.backward)
-    is_side = not (inf_future or inf_past) and bool(_labels(table, (geod.forward, geod.backward)))
+    is_side = False
+    if not (inf_future or inf_past):  # both ends rational or inf
+        ends = [(1, 0) if e is INF else (e.numerator, e.denominator) for e in (geod.forward, geod.backward)]
+        is_side = bool(_labels(table, ends))
     return {
         "intersects": not is_side,
         "inf_future": inf_future,

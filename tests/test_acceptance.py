@@ -19,8 +19,6 @@ from cuspdyn.dynamics import (
     apply_F,
     branch_table,
     code_future,
-    continued_fraction_rational,
-    continued_fraction_surd,
     modular_table,
 )
 from cuspdyn.exact import INF, Rational, Surd, compare, normalize_surd
@@ -38,6 +36,8 @@ from cuspdyn.transfer import (
     collocation_matrix,
     transfer_two_step_pointwise,
 )
+
+from cf_reference import continued_fraction_rational, continued_fraction_surd
 
 PRIMES_CELLS = (2, 3, 5, 7, 11, 13)
 

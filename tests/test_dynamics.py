@@ -22,8 +22,6 @@ from cuspdyn.dynamics import (
     branch_table,
     code_future,
     code_two_sided,
-    continued_fraction_rational,
-    continued_fraction_surd,
     cusp_witness,
     modular_table,
     on_section,
@@ -33,6 +31,8 @@ from cuspdyn.cli import main
 from cuspdyn.exact import INF, LESS, Approx, Rational, Surd, compare, emit_value, normalize_surd, parse_value
 from cuspdyn.moebius import GroupElement
 from cuspdyn.sampling import SQUAREFREE, sample_surd_in
+
+from cf_reference import continued_fraction_rational, continued_fraction_surd
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -479,6 +479,28 @@ def test_on_section_refuses_an_approx_on_the_line(t):
             on_section(rec, Approx(line, 1e-9))
         assert on_section(rec, Approx(line - rec.rep_dir, 1e-9)) is True
         assert on_section(rec, Approx(line + rec.rep_dir, 1e-9)) is False
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_on_section_parts_agree_with_compare(t):
+    # the integer sign rule on the parts of y against the value compare it replaced
+    rng = random.Random(53)
+    for rec in t.branches:
+        line = rec.rep_line
+        ys = [Rational(line), Rational(line + Fraction(1, 7)), Rational(line - Fraction(1, 1009))]
+        ys += [Rational(Fraction(rng.randint(-400, 400), rng.randint(1, 60))) for _ in range(20)]
+        for d in (2, 3, 5, 7, 13, 101, 9998):
+            for lo, hi in ((line - 1, line), (line, line + 1), (line - 50, line + 50)):
+                ys.append(sample_surd_in(rng, lo, hi, d))
+        ys += [Approx(float(line) + s, 1e-9) for s in (-0.5, -1e-6, 1e-6, 0.5)]
+        for y in ys:
+            side = compare(y, Rational(line))
+            assert side != 0 or not isinstance(y, Approx)
+            assert on_section(rec, y) == (side == -rec.rep_dir), (rec.label, y)
+        for err in (1e-12, 1e-3):
+            with pytest.raises(PrecisionExhausted):
+                on_section(rec, Approx(float(line), err))
+        assert on_section(rec, INF) is False
 
 
 def _contained(inner, outer):

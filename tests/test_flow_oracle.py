@@ -401,3 +401,60 @@ def test_walk_matches_brute_force_translates():
                     assert {g.apply_boundary(Rational(rec.line)), g.apply_boundary(INF)} == side
                     assert rec.crossing.re == pos
                     assert [c.re for c in rec.interior_crossings] == interiors
+
+
+def _eager_crossing(rec, x, y):
+    """The crossing re and height2 from the record's side, as the oracle once computed them."""
+    g = rec.translate
+    u, v = g.apply_boundary(Rational(rec.line)), g.apply_boundary(INF)
+    if INF in (u, v):
+        pos = u if v is INF else v
+    else:
+        pos = (u * v - x * y) / ((u + v) - (x + y))
+    return pos, (pos - y) * (x - pos)
+
+
+def _eager_interiors(table, sp, forward, pos):
+    """The representative lines m/q strictly between the start line and pos, in scan order."""
+    q = table.p
+    step = sp.direction if forward else -sp.direction
+    out = []
+    m = sp.line * q + step
+    while compare(Rational(Fraction(m, q)), pos) == (1 if step < 0 else -1):
+        out.append(Rational(Fraction(m, q)))
+        m += step
+    return out
+
+
+def test_deferred_crossings_match_eager_formula():
+    rng = random.Random(61)
+    seen_interior = seen_rational = 0
+    for table in (modular_table(), branch_table(2), branch_table(3), branch_table(5), branch_table(13)):
+        q = table.p
+        for _ in range(12):
+            x, y = sample_section_pair(table, rng)
+            # a rational backward endpoint near y, still on the section: the b = 0 walk
+            y_rat = Rational(Fraction(y.to_float()).limit_denominator(997))
+            ys = [y] + ([y_rat] if q % y_rat.denominator else [])  # off the grid
+            for yy in ys:
+                try:
+                    starts = _section_points(table, x, yy)
+                except ValueError:
+                    continue
+                for sp in starts:
+                    for forward, search in ((True, first_return_geometric), (False, previous_exterior_geometric)):
+                        rec = search(sp, table)
+                        assert rec is not None
+                        assert rec == search(SectionPoint(Geodesic(x, yy), sp.line, sp.direction), table)
+                        pos, height2 = _eager_crossing(rec, x, yy)
+                        assert rec.crossing.re == pos and rec.crossing.height2 == height2
+                        want = _eager_interiors(table, sp, forward, pos)
+                        assert [c.re for c in rec.interior_crossings] == want
+                        assert [c.height2 for c in rec.interior_crossings] == [(c - yy) * (x - c) for c in want]
+                        assert rec.interior_first == bool(want)
+                        seen_interior += bool(want)
+                        seen_rational += isinstance(yy, Rational)
+        # a backward endpoint on the grid is a cusp the walk runs into: no record
+        sp = _section_points(table, normalize_surd(0, 1, 1, 2), Rational(Fraction(-1, q)))[0]
+        assert previous_exterior_geometric(sp, table) is None
+    assert seen_interior > 0 and seen_rational > 0
