@@ -380,6 +380,13 @@ def modular_table() -> BranchTable:
     ))
 
 
+def _inf_witness(num: int, den: int) -> tuple[int, int, int, int]:
+    """Determinant-one integer 4-tuple g with g(num/den) = inf, for coprime num
+    and den > 0: pole at num/den, i.e. row (c d) = (-den, num); a*num + b*den = 1."""
+    a = pow(num, -1, den)
+    return (a, (1 - a * num) // den, -den, num)
+
+
 def cusp_witness(p: int, r: Rational | Fraction) -> tuple[str, GroupElement]:
     """Classify a rational in the cusp orbit and exhibit the witness element.
 
@@ -389,9 +396,7 @@ def cusp_witness(p: int, r: Rational | Fraction) -> tuple[str, GroupElement]:
     """
     num, den = r.numerator, r.denominator
     if den % p == 0:
-        # witness g with g r = inf: pole at r, i.e. row (c d) = (-den, num); solve a*num + b*den = 1
-        a = pow(num, -1, den)
-        return "inf", GroupElement(a, (1 - a * num) // den, -den, num)
+        return "inf", GroupElement(*_inf_witness(num, den))
     # witness g with g r = 0: top row (den, -num); solve den*d + num*p*c1 = 1
     c1 = pow(num * p, -1, den)
     return "zero", GroupElement(den, -num, p * c1, (1 - num * p * c1) // den)

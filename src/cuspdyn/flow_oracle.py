@@ -20,8 +20,7 @@ The walk runs on integer parts: the endpoint t is (a, b, c, d) for
 (a + b*sqrt(d))/c, grid points and side ends are integer pairs (n, m)
 for n/m with (1, 0) for inf, images are exact._image_parts and each
 order test is one integer sign rule.  Values are built only for what
-the returned record holds.  Its crossing point and interior crossings
-are read by output alone, so they are computed when first read.
+the returned record holds.
 
 Exact crossing positions need products of the two endpoint values, so
 the oracle requires both endpoints in a single real quadratic field
@@ -32,9 +31,8 @@ classification tests use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .exact import (
     EQUAL,
@@ -55,7 +53,7 @@ from .exact import (
     compare,
     emit_value,
 )
-from .dynamics import BranchTable, label_to_json, on_section
+from .dynamics import BranchTable, _inf_witness, label_to_json, on_section
 from .moebius import GroupElement
 from .tessellation import matrix_literal
 
@@ -155,36 +153,14 @@ class SectionPoint:
 
 @dataclass(frozen=True)
 class ReturnRecord:
-    """_start is the geodesic searched, _side the crossed side's ends and
-    _interiors the representative lines crossed before it, as pairs (n, m)
-    for n/m with (1, 0) for inf.  _start and _side follow from translate,
-    renormalized and line, so they take no part in equality."""
-
     letter: object
     translate: GroupElement
     line: Fraction
     direction: int
+    crossing: CrossingPoint
     renormalized: SectionPoint
     interior_first: bool
-    _start: Geodesic = field(repr=False, compare=False)
-    _side: tuple = field(repr=False, compare=False)
-    _interiors: tuple = field(repr=False)
-
-    @cached_property
-    def crossing(self) -> CrossingPoint:
-        """Where the geodesic crosses the side: the side's grid point when it
-        is a vertical line, else where the two circles meet."""
-        x, y = self._start.forward, self._start.backward
-        (un, um), (vn, vm) = self._side
-        pos = u = _rational(un, um)
-        if vm:
-            v = _rational(vn, vm)
-            pos = (u * v - x * y) / ((u + v) - (x + y))
-        return _crossing(self._start, pos)
-
-    @cached_property
-    def interior_crossings(self) -> tuple[CrossingPoint, ...]:
-        return tuple(_crossing(self._start, _rational(*e)) for e in self._interiors)
+    interior_crossings: tuple[CrossingPoint, ...]
 
     def to_json(self) -> dict:
         return {
@@ -261,18 +237,15 @@ def _labels(table: BranchTable, ends: tuple[tuple[int, int], tuple[int, int]]) -
     no leftward representative at all.
     """
     q = table.p
+    ends = [(n // math.gcd(n, m), m // math.gcd(n, m)) for n, m in ends]
     out = []
     for (en, em), (on, om) in (ends, ends[::-1]):
         if em == 0:
             w = (1, 0, 0, 1)
-        else:
-            k = math.gcd(en, em)
-            en, em = en // k, em // k
-            if em % q:  # e is in the cusp orbit of 0
-                continue
-            # w(e) = inf as in dynamics.cusp_witness: pole at e, and s*en = 1 mod em
-            s = pow(en, -1, em)
-            w = (s, (1 - s * en) // em, -em, en)
+        elif em % q == 0:
+            w = _inf_witness(en, em)
+        else:  # e is in the cusp orbit of 0
+            continue
         rn, _, rd = _image_parts(w, on, 0, om, 0)
         n = rn // rd
         if q % rd == 0:
@@ -289,7 +262,8 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     if side is None:
         return None
     q = table.p
-    ya, yb, yc, d = _parts(geod.backward)
+    x, y = geod.forward, geod.backward
+    ya, yb, yc, d = _parts(y)
     for g, j in _labels(table, side):
         A, B, C, D = g
         a, b, c = _image_parts((D, -B, -C, A), ya, yb, yc, d)
@@ -301,12 +275,18 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     g = GroupElement(*g)
     ginv = g.inv()
     base = Fraction(j, q)
-    xt, yt = ginv.apply_boundary(geod.forward), _surd(a, b, c, d)
+    xt, yt = ginv.apply_boundary(x), _surd(a, b, c, d)
+    # the side's grid point when it is a vertical line, else where the two circles meet
+    (un, um), (vn, vm) = side
+    pos = u = _rational(un, um)
+    if vm:
+        v = _rational(vn, vm)
+        pos = (u * v - x * y) / ((u + v) - (x + y))
     # the branch of the point before the crossing names the letter: a next
     # crossing lands on branch k's target line, a previous one sits on
     # h_k^{-1} . (representative line of branch k)
     if forward:
-        rec = table.branch_at(geod.forward)
+        rec = table.branch_at(x)
         ok = rec is not None and (rec.h, rec.target) == (g, (_rational(j, q), direction))
     else:
         rec = table.branch_at(xt)
@@ -317,11 +297,10 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
         translate=g,
         line=base,
         direction=direction,
+        crossing=_crossing(geod, pos),
         renormalized=SectionPoint(Geodesic(forward=xt, backward=yt), base, direction),
         interior_first=bool(interiors),
-        _start=geod,
-        _side=side,
-        _interiors=tuple(interiors),
+        interior_crossings=tuple(_crossing(geod, _rational(*e)) for e in interiors),
     )
 
 

@@ -403,8 +403,8 @@ def test_walk_matches_brute_force_translates():
                     assert [c.re for c in rec.interior_crossings] == interiors
 
 
-def _eager_crossing(rec, x, y):
-    """The crossing re and height2 from the record's side, as the oracle once computed them."""
+def _formula_crossing(rec, x, y):
+    """The crossing re and height2 from the side g.(line) named by the record's translate."""
     g = rec.translate
     u, v = g.apply_boundary(Rational(rec.line)), g.apply_boundary(INF)
     if INF in (u, v):
@@ -414,7 +414,7 @@ def _eager_crossing(rec, x, y):
     return pos, (pos - y) * (x - pos)
 
 
-def _eager_interiors(table, sp, forward, pos):
+def _formula_interiors(table, sp, forward, pos):
     """The representative lines m/q strictly between the start line and pos, in scan order."""
     q = table.p
     step = sp.direction if forward else -sp.direction
@@ -426,9 +426,9 @@ def _eager_interiors(table, sp, forward, pos):
     return out
 
 
-def test_deferred_crossings_match_eager_formula():
+def test_return_crossings_match_formula():
     rng = random.Random(61)
-    seen_interior = seen_rational = 0
+    seen_interior = seen_rational = seen_integer_end = 0
     for table in (modular_table(), branch_table(2), branch_table(3), branch_table(5), branch_table(13)):
         q = table.p
         for _ in range(12):
@@ -446,15 +446,21 @@ def test_deferred_crossings_match_eager_formula():
                         rec = search(sp, table)
                         assert rec is not None
                         assert rec == search(SectionPoint(Geodesic(x, yy), sp.line, sp.direction), table)
-                        pos, height2 = _eager_crossing(rec, x, yy)
+                        pos, height2 = _formula_crossing(rec, x, yy)
                         assert rec.crossing.re == pos and rec.crossing.height2 == height2
-                        want = _eager_interiors(table, sp, forward, pos)
+                        want = _formula_interiors(table, sp, forward, pos)
                         assert [c.re for c in rec.interior_crossings] == want
                         assert [c.height2 for c in rec.interior_crossings] == [(c - yy) * (x - c) for c in want]
                         assert rec.interior_first == bool(want)
                         seen_interior += bool(want)
                         seen_rational += isinstance(yy, Rational)
+                        # a side end m/q with q | m: the walk's pair (m, q) is not reduced
+                        g = rec.translate
+                        ends = (g.apply_boundary(Rational(rec.line)), g.apply_boundary(INF))
+                        seen_integer_end += q > 1 and any(
+                            isinstance(e, Rational) and e.denominator == 1 for e in ends
+                        )
         # a backward endpoint on the grid is a cusp the walk runs into: no record
         sp = _section_points(table, normalize_surd(0, 1, 1, 2), Rational(Fraction(-1, q)))[0]
         assert previous_exterior_geometric(sp, table) is None
-    assert seen_interior > 0 and seen_rational > 0
+    assert seen_interior > 0 and seen_rational > 0 and seen_integer_end > 0
