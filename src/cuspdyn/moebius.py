@@ -32,10 +32,10 @@ class GroupElement:
             raise ValueError(f"determinant of ({a},{b};{c},{d}) is not 1")
         if c < 0 or (c == 0 and d < 0):
             a, b, c, d = -a, -b, -c, -d
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -93,6 +93,12 @@ class GroupElement:
         return HPoint(x_new, z.y2 / (den * den))
 
 
+_set_a = GroupElement.a.__set__
+_set_b = GroupElement.b.__set__
+_set_c = GroupElement.c.__set__
+_set_d = GroupElement.d.__set__
+
+
 def identity() -> GroupElement:
     return GroupElement(1, 0, 0, 1)
 
@@ -110,11 +116,19 @@ class HPoint:
     y2: Fraction
 
     def __init__(self, x, y2):
-        x, y2 = Fraction(x), Fraction(y2)
-        if y2 <= 0:
+        # Fraction(Fraction) costs an ABC isinstance, so only other inputs convert
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if type(y2) is not Fraction:
+            y2 = Fraction(y2)
+        if y2.numerator <= 0:
             raise ValueError("HPoint requires strictly positive imaginary part")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y2", y2)
+        _set_x(self, x)
+        _set_y2(self, y2)
+
+
+_set_x = HPoint.x.__set__
+_set_y2 = HPoint.y2.__set__
 
 
 @_value_class

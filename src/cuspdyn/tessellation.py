@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import Rational, emit_value
@@ -66,13 +66,20 @@ class FordDomain:
     # the vertices 0 and 1 of the strip are boundary points, so only the inner ones are HPoints
     inner_vertices: tuple[HPoint, ...]
     maxima: tuple[HPoint, ...]
+    # for 0 <= k < p, the keys of the spheres k and k + 1 that exist, in that order: the
+    # only ones that can hold a point with floor(p * Re z) = k (see _reduce)
+    _neighbours: tuple[tuple[tuple[int, int, int, int], ...], ...] = field(compare=False, repr=False)
 
     @property
     def modular(self) -> bool:
         return self.p == 1
 
     def in_closure(self, z: HPoint) -> bool:
-        """Exact membership of z in the closed fundamental domain."""
+        """Exact membership of z in the closed fundamental domain.
+
+        Scans every sphere on purpose: it is the reference the tests check
+        reductions against, so it does not use the two-sphere rule of _reduce.
+        """
         return 0 <= z.x <= 1 and all(s.side(z) >= 0 for s in self.spheres)
 
     def precell_indices(self, z: HPoint) -> list[int]:
@@ -100,17 +107,18 @@ def _domain(q: int) -> FordDomain:
     the spheres strictly inside the strip are the maxima.
     """
     ks = [k for k in range(q + 1) if math.gcd(k, q) == 1]
-    spheres = []
+    spheres = {}
     for k in ks:
         l = (-pow(k, -1, q)) % q
-        spheres.append(IsometricSphere(GroupElement(l, -(1 + k * l) // q, q, -k)))
+        spheres[k] = IsometricSphere(GroupElement(l, -(1 + k * l) // q, q, -k))
+    neighbours = tuple(tuple(spheres[j].element.key() for j in (k, k + 1) if j in spheres) for k in range(q))
     inner = tuple(
         HPoint(Fraction(2 * k + 1, 2 * q), Fraction(3, 4 * q * q))
         for k, k1 in zip(ks, ks[1:])
         if k1 == k + 1
     )
     maxima = tuple(HPoint(Fraction(k, q), Fraction(1, q * q)) for k in ks if 0 < k < q)
-    return FordDomain(q, tuple(spheres), inner, maxima)
+    return FordDomain(q, tuple(spheres.values()), inner, maxima, neighbours)
 
 
 def _level(p: int, modular: bool) -> int:
@@ -167,23 +175,30 @@ def _reduce(q: int, z: HPoint) -> tuple[tuple[int, int, int, int], int, int, int
     v^2 V + c^2 Y W^2 and R = Re(gz) N = u v V + a c Y W^2.  gz is strictly inside
     (on) the sphere of s when N is smaller (equal) at s g.  Returns
     ((a, b, c, d), R, N, H, on_sphere, rounds), where gz = R/N + i sqrt(H)/N.
+
+    A round tests only two spheres.  A point w inside or on sphere j satisfies
+    (q Re w - j)^2 + q^2 (Im w)^2 <= 1 with Im w > 0, so |q Re w - j| < 1: after the
+    translation, 0 <= R < N and k = qR // N = floor(q Re gz), so only the spheres
+    j = k and j = k + 1 can hold gz.  They are tested in increasing j, the order of
+    the domain, so the breaking sphere, on_sphere and rounds are those of a scan
+    over every sphere.
     """
     X, W, Y, V = z.x.numerator, z.x.denominator, z.y2.numerator, z.y2.denominator
-    K, elements = Y * W * W, [s.element for s in _domain(q).spheres]
+    K, neighbours = Y * W * W, _domain(q)._neighbours
     a, b, c, d, u, v, N, R = 1, 0, 0, 1, X, W, W * W * V, X * W * V
     for rounds in range(1, _MAX_REDUCE_STEPS + 1):
         n = R // N
         a, b, u, R = a - n * c, b - n * d, u - n * v, R - n * N
         on_sphere = False
-        for e in elements:
-            c1, v1 = e.c * a + e.d * c, e.c * u + e.d * v
+        for ea, eb, ec, ed in neighbours[q * R // N]:
+            c1, v1 = ec * a + ed * c, ec * u + ed * v
             n1 = v1 * v1 * V + c1 * c1 * K
             if n1 < N:
                 break
             on_sphere = on_sphere or n1 == N
         else:
             return (a, b, c, d), R, N, K * W * W * V, on_sphere, rounds
-        a, b, c, d, u, v = e.a * a + e.b * c, e.a * b + e.b * d, c1, e.c * b + e.d * d, e.a * u + e.b * v, v1
+        a, b, c, d, u, v = ea * a + eb * c, ea * b + eb * d, c1, ec * b + ed * d, ea * u + eb * v, v1
         N, R = n1, u * v * V + a * c * K
     raise ArithmeticError("reduction did not terminate; arithmetic precision failure?")
 

@@ -24,8 +24,10 @@ def test_canonical_sign():
     assert g.c > 0
     g2 = GroupElement(-1, -3, 0, -1)
     assert g2.c == 0 and g2.d > 0
-    with pytest.raises(ValueError):
-        GroupElement(1, 1, 1, 1)
+    assert GroupElement(-2, 1, -5, 2).key() == (2, -1, 5, -2)
+    for args in ((1, 1, 1, 1), (-1, 0, 0, 1), (2, 0, -5, 2)):
+        with pytest.raises(ValueError):
+            GroupElement(*args)
 
 
 def test_apply_boundary_examples():
@@ -149,8 +151,10 @@ def test_value_is_frozen_and_equal_by_value(x, same, field):
             setattr(x, name, 0)
     assert GroupElement(-1, 0, 0, -1) == identity() and GroupElement(1, 1, 0, 1) != identity()
     assert HPoint(1, 2) == HPoint(Fraction(3, 3), 2.0) and type(HPoint(1, 2).x) is Fraction
-    with pytest.raises(ValueError):
-        HPoint(0, 0)
+    assert HPoint("1/3", "1/4") == HPoint(Fraction(1, 3), Fraction(1, 4))
+    for y2 in (0, Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            HPoint(0, y2)
     if isinstance(x, IsometricSphere):
         assert (x.center, x.radius, x.element) == (same.center, same.radius, same.element)
 

@@ -396,11 +396,15 @@ def _level_args(q):
     return dict(modular=True) if q == 1 else {}
 
 
-@pytest.mark.parametrize("q", (1, 2, 3, 5, 7, 13))
+# points per level; at 101 a reduction round tests 2 of the 100 spheres
+_REFERENCE_POINTS = {1: 150, 2: 150, 3: 150, 5: 150, 7: 150, 13: 150, 101: 40}
+
+
+@pytest.mark.parametrize("q", sorted(_REFERENCE_POINTS))
 def test_reduction_matches_fraction_reference(q):
     rng = random.Random(1100 + q)
-    kw, boundary = _level_args(q), 0
-    for z in _differential_points(rng, q, 150):
+    kw, boundary, count = _level_args(q), 0, _REFERENCE_POINTS[q]
+    for z in _differential_points(rng, q, count):
         g, w, rounds = reduce_point_detailed(q, z, **kw)
         g0, w0, rounds0 = _reduce_by_fraction(q, z)
         assert (g.key(), w, rounds) == (g0.key(), w0, rounds0), z
@@ -417,7 +421,23 @@ def test_reduction_matches_fraction_reference(q):
             for strict in (False, True):
                 want = [_contains_by_fraction(q, j, v, strict) for v in (z, w)]
                 assert [cell(q, j, **kw).contains(v, strict) for v in (z, w)] == want
-    assert 0 < boundary < 150
+    assert 0 < boundary < count
+
+
+def test_reduction_at_a_large_prime():
+    """p = 10007, where the Fraction reference is too slow: vertices and maxima beside
+    k = 1, (p-1)/2 and p-1, and Gamma_0(p)-translates of each, reduce into the closure."""
+    p, rng = 10007, random.Random(10007)
+    dom = _domain(p)
+    points = []
+    for k in (1, (p - 1) // 2, p - 1):
+        points += [z for z in dom.inner_vertices + dom.maxima if abs(p * z.x - k) <= 1]
+    points += [_gamma0_word(rng, p, rng.randint(1, 4)).apply_hpoint(z) for z in points for _ in range(2)]
+    assert len(points) == 33  # 11 vertices and maxima, two translates of each
+    for z in points:
+        g, w = reduce_point(p, z)
+        assert g.c % p == 0 and g.apply_hpoint(z) == w and dom.in_closure(w), z
+        assert locate_cell(p, z)[2] is True, z
 
 
 def test_reduction_extreme_inputs():
