@@ -297,11 +297,14 @@ class BranchTable:
         rationals for the modular preset), PrecisionExhausted when an
         Approx value cannot be placed reliably.
         """
+        return self._branch_in(x, self._locate(x)[0])
+
+    def _branch_in(self, x: BoundaryValue, pos: int) -> BranchRecord:
+        """branch_of(x) for x at the first position pos that _locate gives it."""
         if isinstance(x, Infinity):
             raise CuspPointError(x, "inf", None)
         if isinstance(x, Rational) and self.p > 1:
             raise CuspPointError(x, *cusp_witness(self.p, x))
-        pos = self._locate(x)[0]
         if self._at[pos] is not None:
             return self.branches[self._at[pos]]
         if isinstance(x, Rational):  # the slow map runs on rationals until a branch endpoint
@@ -484,9 +487,9 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
     the first step start at or past it, unless the preperiod ends inside
     a run.  Then it shows one run later, and that first start is exactly
     at max_steps and begins a run of a letter that has already run more
-    than once; only then does the loop take one more run.  Letters past
-    max_steps are kept up to 2 * max_steps, enough to back off from any
-    such repeat.
+    than once; only then does the loop look up a start at or past
+    max_steps, and take one more run.  Letters past max_steps are kept up
+    to 2 * max_steps, enough to back off from any such repeat.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -502,11 +505,13 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
     term = None
     pos = 0
     while True:
+        if pos >= max_steps and (pos > max_steps or not repeated):
+            break
         a, b, c = state[0]
         i = _position(pairs, a, b, c, d)
         k = at[_span(i, _position(pairs, *state[1], d))[0] if approx else i]
         if pos >= max_steps:
-            if pos > max_steps or k is None or steps[k][0].label not in repeated:
+            if k is None or steps[k][0].label not in repeated:
                 break
         elif k is None:
             ends = [_surd(*e, d) for e in state]
@@ -595,41 +600,54 @@ def code_two_sided(
 
     Future letters follow the first coordinate; past letters are found by
     the unique k with (h_k x, h_k y) on the reduced section over k, among
-    the branches whose image contains x; an exact y is mapped and tested
-    on its integer parts, and only the pair of the one k found is built.
-    Finding two such k, or none for an irrational pair, is an internal
-    error.  A rational end stops the past side at the cusp; an Approx pair
-    that an h_k maps across its pole or onto a representative line stops
-    it as precision-exhausted.
+    the branches whose image contains x.  Finding two such k, or none for
+    an irrational pair, is an internal error.  A rational end stops the
+    past side at the cusp; an Approx pair that an h_k maps across its pole
+    or onto a representative line stops it as precision-exhausted.
+
+    An exact pair steps on the integer parts (a, b, c, d) of its ends: each
+    h_k maps y by exact._image_parts for the section test, the image of the
+    one k found is the next y, and x is mapped and located only when
+    another past step follows.  The first past step reuses the position of
+    x that the section check looked up; a value is built only for a cusp
+    ending.
     """
     if compare(x, y) == EQUAL:
         raise ValueError("geodesic endpoints must be distinct")
-    if not on_section(table.branch_of(x), y):
+    span = table._locate(x)
+    if not on_section(table._branch_in(x, span[0]), y):
         raise ValueError("(x, y) is not on the reduced cross section")
 
     future = code_future(table, x, n_future)
     past_letters: list = []
     past_term = None
-    cx, cy = x, y
+    exact = not (isinstance(x, Approx) or isinstance(y, Approx))
+    cx, cy = (_parts(x), _parts(y)) if exact else (x, y)
     for step in range(n_past):
-        covering = table._covering(*table._locate(cx))
-        try:
-            if isinstance(cx, Approx) or isinstance(cy, Approx):
-                hits = [rec for rec in covering if on_section(rec, rec.h.apply_boundary(cy))]
-            else:
-                a, b, c, d = _parts(cy)
-                hits = [rec for rec in covering if _beyond_line(rec, *_image_parts(rec.h.key(), a, b, c, d), d)]
-        except PrecisionExhausted:
-            past_term = Termination("precision-exhausted", step)
-            break
-        if not hits and (isinstance(cx, Rational) or isinstance(cy, Rational)):
-            past_term = Termination("cusp", step, at=cy)
+        if step:
+            span = (_position(table._pairs, *cx),) * 2 if exact else table._locate(cx)
+        covering = table._covering(*span)
+        if exact:
+            images = [(*_image_parts(rec.h.key(), *cy), cy[3]) for rec in covering]
+            hits = [(rec, e) for rec, e in zip(covering, images) if _beyond_line(rec, *e)]
+            cusp = not hits and (cx[1] == 0 or cy[1] == 0)
+        else:
+            try:
+                images = [rec.h.apply_boundary(cy) for rec in covering]
+                hits = [(rec, e) for rec, e in zip(covering, images) if on_section(rec, e)]
+            except PrecisionExhausted:
+                past_term = Termination("precision-exhausted", step)
+                break
+            cusp = not hits and (isinstance(cx, Rational) or isinstance(cy, Rational))
+        if cusp:
+            past_term = Termination("cusp", step, at=_surd(*cy) if exact else cy)
             break
         if len(hits) != 1:
-            raise AssertionError(f"past branch not unique at step {step}: {[rec.label for rec in hits]}")
-        rec = hits[0]
-        cx, cy = rec.h.apply_boundary(cx), rec.h.apply_boundary(cy)
+            raise AssertionError(f"past branch not unique at step {step}: {[rec.label for rec, _ in hits]}")
+        rec, cy = hits[0]
         past_letters.append(rec.label)
+        if step + 1 < n_past:
+            cx = (*_image_parts(rec.h.key(), *cx), cx[3]) if exact else rec.h.apply_boundary(cx)
     if past_term is None:
         past_term = Termination("step-cap", len(past_letters))
 

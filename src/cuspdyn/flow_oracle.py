@@ -19,12 +19,16 @@ supply the group and name the letter of the element found.
 The walk runs on integer parts: the endpoint t is (a, b, c, d) for
 (a + b*sqrt(d))/c, grid points and side ends are integer pairs (n, m)
 for n/m with (1, 0) for inf, images are exact._image_parts and each
-order test is one integer sign rule.  Values are built only for what
-the returned record holds.
+order test is one integer sign rule.  The record's facts are integer
+formulas over the same parts: the renormalized backward endpoint is one
+image, the point where the geodesic meets a semicircle side is one
+quotient in Q(sqrt(d)), and each crossing height is one product
+(_crossing).  Each value the record holds is made canonical once.
 
-Exact crossing positions need products of the two endpoint values, so
-the oracle requires both endpoints in a single real quadratic field
-(rationals allowed); this covers every geodesic the conjugacy and
+Crossing positions and heights multiply the two endpoints, so the oracle
+requires both endpoints in a single real quadratic field (rationals
+allowed; d is the radicand of whichever endpoint is a surd, and either
+may be the rational one); this covers every geodesic the conjugacy and
 classification tests use.
 """
 
@@ -112,8 +116,20 @@ class CrossingPoint:
 
 
 def _crossing(geod: Geodesic, c: BoundaryValue) -> CrossingPoint:
-    """The geodesic's point over Re = c, with squared height (c - y)(x - c)."""
-    return CrossingPoint(c, (c - geod.backward) * (geod.forward - c))
+    """The geodesic's point over Re = c, with squared height (c - y)(x - c).
+
+    With x = (xa + xb*sqrt(d))/xc, y = (ya + yb*sqrt(d))/yc and c = (ca +
+    cb*sqrt(d))/e in the geodesic's field, c - y = (P + Q*sqrt(d))/(e*yc)
+    and x - c = (R + S*sqrt(d))/(xc*e), so the squared height is (PR + QSd
+    + (PS + QR)*sqrt(d))/(e^2*xc*yc), made canonical once.
+    """
+    d = geod.field() or 0
+    xa, xb, xc, _ = _parts(geod.forward)
+    ya, yb, yc, _ = _parts(geod.backward)
+    ca, cb, e, _ = _parts(c)
+    P, Q = ca * yc - ya * e, cb * yc - yb * e
+    R, S = xa * e - ca * xc, xb * e - cb * xc
+    return CrossingPoint(c, _surd(P * R + Q * S * d, P * S + Q * R, e * e * xc * yc, d))
 
 
 @dataclass(frozen=True)
@@ -257,13 +273,14 @@ def _labels(table: BranchTable, ends: tuple[tuple[int, int], tuple[int, int]]) -
 def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord | None:
     """The next (forward) or previous exterior crossing, identified and renormalized."""
     geod = sp.geodesic
-    geod.field()  # validates exact single-field endpoints
+    d = geod.field() or 0  # validates exact single-field endpoints
     side, interiors = _walk(sp, table, forward)
     if side is None:
         return None
     q = table.p
-    x, y = geod.forward, geod.backward
-    ya, yb, yc, d = _parts(y)
+    x = geod.forward
+    xa, xb, xc, _ = _parts(x)
+    ya, yb, yc, _ = _parts(geod.backward)
     for g, j in _labels(table, side):
         A, B, C, D = g
         a, b, c = _image_parts((D, -B, -C, A), ya, yb, yc, d)
@@ -276,12 +293,20 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     ginv = g.inv()
     base = Fraction(j, q)
     xt, yt = ginv.apply_boundary(x), _surd(a, b, c, d)
-    # the side's grid point when it is a vertical line, else where the two circles meet
+    # the side's grid point when it is a vertical line, else where the two circles
+    # meet: (uv - xy)/((u + v) - (x + y)) for the side ends u and v, which over the
+    # common denominator um*vm*xc*yc is (N0 + N1*sqrt(d))/(D0 + D1*sqrt(d))
     (un, um), (vn, vm) = side
-    pos = u = _rational(un, um)
-    if vm:
-        v = _rational(vn, vm)
-        pos = (u * v - x * y) / ((u + v) - (x + y))
+    if vm == 0:
+        pos = _rational(un, um)
+    else:
+        M, K = um * vm, xc * yc
+        N0, N1 = un * vn * K - M * (xa * ya + xb * yb * d), -M * (xa * yb + xb * ya)
+        D0, D1 = (un * vm + vn * um) * K - M * (xa * yc + ya * xc), -M * (xb * yc + yb * xc)
+        norm = D0 * D0 - D1 * D1 * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        pos = _surd(N0 * D0 - N1 * D1 * d, N1 * D0 - N0 * D1, norm, d)
     # the branch of the point before the crossing names the letter: a next
     # crossing lands on branch k's target line, a previous one sits on
     # h_k^{-1} . (representative line of branch k)

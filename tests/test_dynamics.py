@@ -241,6 +241,44 @@ def test_code_two_sided_p5():
     assert seq.letters[seq.origin] == 2
 
 
+def _counting_position(monkeypatch):
+    calls = []
+    position = dynamics._position
+    monkeypatch.setattr(dynamics, "_position", lambda *args: calls.append(args) or position(*args))
+    return calls
+
+
+def test_code_future_at_its_cap_looks_up_no_further_start(monkeypatch):
+    # one single-letter step: the start at the cap is read only after a run of
+    # more than one letter, which could close a period there
+    calls = _counting_position(monkeypatch)
+    seq = code_future(branch_table(5), normalize_surd(-1, 1, 1, 2), 1)
+    assert seq.letters == (2,) and seq.termination == Termination("step-cap", 1)
+    assert len(calls) == 1
+
+
+# past letters of (x, y) for n_past = 6, nearest first, and the first future letter
+_TWO_SIDED = [
+    (modular_table(), Surd(1, 1, 2, 5), Surd(1, -1, 2, 5), [0, 1, 0, 1, 0, 1], 1),
+    (branch_table(2), normalize_surd(-1, 1, 1, 2), normalize_surd(0, -1, 1, 2), [2, 0, 2, 2, 0, 2], 0),
+    (branch_table(5), normalize_surd(-1, 1, 1, 2), normalize_surd(0, -1, 1, 2), [5, 5, 1, NEG_INF_LABEL, 4, 2], 2),
+    (branch_table(13), normalize_surd(-1, 1, 1, 2), normalize_surd(0, -1, 1, 2), [13, 13, 10, 9, 10, 10], 5),
+]
+
+
+@pytest.mark.parametrize("t, x, y, past, a0", _TWO_SIDED, ids=[row[0].name for row in _TWO_SIDED])
+def test_code_two_sided_looks_up_x_once_per_side(t, x, y, past, a0, monkeypatch):
+    # the section check's lookup of x serves the first past step, and the
+    # future side makes one more; nothing is looked up past either cap
+    calls = _counting_position(monkeypatch)
+    seq = code_two_sided(t, x, y, 1, 1)
+    assert len(calls) == 2
+    for n in range(1, 7):
+        seq = code_two_sided(t, x, y, 1, n)
+        assert seq.letters == tuple(reversed(past[:n])) + (a0,) and seq.origin == n
+        assert seq.past_termination == Termination("step-cap", n)
+
+
 def test_code_two_sided_rational_terminates():
     tm = modular_table()
     seq = code_two_sided(tm, frac(3, 2), frac(-1, 2), 10, 10)

@@ -428,39 +428,45 @@ def _formula_interiors(table, sp, forward, pos):
 
 def test_return_crossings_match_formula():
     rng = random.Random(61)
-    seen_interior = seen_rational = seen_integer_end = 0
+    seen_interior = seen_integer_end = 0
+    semicircle_kinds = set()  # (x rational, y rational) of pairs that meet a side with two finite ends
     for table in (modular_table(), branch_table(2), branch_table(3), branch_table(5), branch_table(13)):
         q = table.p
         for _ in range(12):
             x, y = sample_section_pair(table, rng)
-            # a rational backward endpoint near y, still on the section: the b = 0 walk
-            y_rat = Rational(Fraction(y.to_float()).limit_denominator(997))
+            # rational endpoints near x and y, still on the section: the b = 0 walk
+            # and a crossing whose radicand comes from the other end only
+            x_rat, y_rat = (Rational(Fraction(e.to_float()).limit_denominator(997)) for e in (x, y))
             ys = [y] + ([y_rat] if q % y_rat.denominator else [])  # off the grid
-            for yy in ys:
+            for xx, yy in itertools.product((x, x_rat), ys):
                 try:
-                    starts = _section_points(table, x, yy)
+                    starts = _section_points(table, xx, yy)
                 except ValueError:
                     continue
+                searches = ((True, first_return_geometric), (False, previous_exterior_geometric))
                 for sp in starts:
-                    for forward, search in ((True, first_return_geometric), (False, previous_exterior_geometric)):
+                    # a rational forward endpoint is a cusp: there is no next exterior crossing
+                    for forward, search in searches[isinstance(xx, Rational):]:
                         rec = search(sp, table)
                         assert rec is not None
-                        assert rec == search(SectionPoint(Geodesic(x, yy), sp.line, sp.direction), table)
-                        pos, height2 = _formula_crossing(rec, x, yy)
+                        assert rec == search(SectionPoint(Geodesic(xx, yy), sp.line, sp.direction), table)
+                        pos, height2 = _formula_crossing(rec, xx, yy)
                         assert rec.crossing.re == pos and rec.crossing.height2 == height2
                         want = _formula_interiors(table, sp, forward, pos)
                         assert [c.re for c in rec.interior_crossings] == want
-                        assert [c.height2 for c in rec.interior_crossings] == [(c - yy) * (x - c) for c in want]
+                        assert [c.height2 for c in rec.interior_crossings] == [(c - yy) * (xx - c) for c in want]
                         assert rec.interior_first == bool(want)
                         seen_interior += bool(want)
-                        seen_rational += isinstance(yy, Rational)
-                        # a side end m/q with q | m: the walk's pair (m, q) is not reduced
                         g = rec.translate
                         ends = (g.apply_boundary(Rational(rec.line)), g.apply_boundary(INF))
+                        if INF not in ends:
+                            semicircle_kinds.add((isinstance(xx, Rational), isinstance(yy, Rational)))
+                        # a side end m/q with q | m: the walk's pair (m, q) is not reduced
                         seen_integer_end += q > 1 and any(
                             isinstance(e, Rational) and e.denominator == 1 for e in ends
                         )
         # a backward endpoint on the grid is a cusp the walk runs into: no record
         sp = _section_points(table, normalize_surd(0, 1, 1, 2), Rational(Fraction(-1, q)))[0]
         assert previous_exterior_geometric(sp, table) is None
-    assert seen_interior > 0 and seen_rational > 0 and seen_integer_end > 0
+    assert seen_interior > 0 and seen_integer_end > 0
+    assert semicircle_kinds == {(False, False), (False, True), (True, False), (True, True)}
