@@ -3,7 +3,8 @@
 Output is JSON on stdout (SVG to a file for `domain --svg`).  Identical
 invocations produce byte-identical output: all sampling is driven by the
 --seed argument and JSON keys are emitted in sorted order.  Exit status
-0 on success, 1 when an internal check fails, 2 on argument errors.
+0 on success, 1 when an internal check fails, 2 on argument errors and
+when memory runs out.
 """
 
 from __future__ import annotations
@@ -266,6 +267,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # the interpreter raises it without text
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
     except AssertionError as err:
         print(f"check failed: {err}", file=sys.stderr)

@@ -25,6 +25,7 @@ from .exact import (
     _ceil_parts,
     _image_parts,
     _parts,
+    _point,
     _sign_of_root_combination,
     _surd,
     compare,
@@ -274,13 +275,11 @@ class BranchTable:
         """First and last position of x, inf in the last gap; they differ only for
         an Approx within its error of a cut."""
         pairs = self._pairs
-        if isinstance(x, Infinity):
-            return 2 * len(pairs), 2 * len(pairs)
         if isinstance(x, Approx):
             lo, hi = x.lo, x.hi
             return _span(_position(pairs, lo.numerator, 0, lo.denominator, 0),
                          _position(pairs, hi.numerator, 0, hi.denominator, 0))
-        a, b, c, d = _parts(x)
+        a, b, c, d = _point(x)
         i = _position(pairs, a, b, c, d)
         return i, i
 
@@ -572,14 +571,13 @@ def on_section(rec: BranchRecord, y: BoundaryValue) -> bool:
     the product rectangle that contains it.  An Approx y that holds the
     line raises PrecisionExhausted.
     """
-    if isinstance(y, Infinity):
-        return False
     if isinstance(y, Approx):
         side = compare(y, Rational(rec.rep_line))
         if side == EQUAL:
             raise PrecisionExhausted(f"backward endpoint {emit_value(y)} holds the line {rec.rep_line}")
         return side == -rec.rep_dir
-    return _beyond_line(rec, *_parts(y))
+    a, b, c, d = _point(y)
+    return _beyond_line(rec, a, b, c, d)
 
 
 def _beyond_line(rec: BranchRecord, a: int, b: int, c: int, d: int) -> bool:

@@ -8,13 +8,15 @@ integer tuples, so that equality is structural (a value equals only a
 value of the same kind with the same integers, and compare orders
 across kinds), and all arithmetic and ordering is done on plain
 integers.  Rational is not fractions.Fraction because Fraction.numerator
-is a Python property, read on every bisection compare: a prototype that
-swapped it in saved 106 lines but slowed coding in 4 of 4 alternating
-benchmark pairs on a 2-core machine (1,028 to 900 ops/s, p50 0.248 to
-0.295 ms).  For the same reason compare keeps one branch per pair of
-kinds: one formula over the parts (a, b, c, d) of both values made an
-in-process coding pass 8% slower (44.3 to 47.9 ms), and an inlined type
-dispatch 5% slower on coding and 3% on conjugacy.
+is a Python property: a prototype that swapped it in saved 106 lines but
+slowed coding in 4 of 4 alternating benchmark pairs on a 2-core machine
+(1,028 to 900 ops/s, p50 0.248 to 0.295 ms).  The coding loop makes no
+compare call (it bisects and maps on parts), and a conjugacy op makes
+about 10.  Replaying the 2,000 compares of 200 such ops, one sign rule
+over _point's parts took 550 ns a call against 514 ns for a branch per
+pair of kinds.  On a 2-core machine the median conjugacy pair read
+-1.9% and -3.0% in two rounds of ten alternating benchmark pairs, and
+-2.3% over six pairs of two copies of one tree.
 
 Arithmetic is that of one field Q(sqrt(d)), a rational being its element
 with b = 0: each of +, -, * and / is one integer formula over the parts
@@ -25,14 +27,10 @@ Ints and Fractions go on the right only: 2 * x and sum(values) raise
 TypeError, x * 2 and sum(values, Rational(0)) work.
 
 The total order is decided by integer sign rules alone, never by
-floating comparison.  Within one field (or against a rational) the
-difference is (A + B*sqrt(d))/C with C > 0, whose sign is that of
-A + B*sqrt(d).  Across fields sqrt(d1) != sqrt(d2), the comparison of
-P + Q*sqrt(d1) with R*sqrt(d2) is decided by their signs when they
-differ, and otherwise by the sign of their squares' difference
-(P^2 + Q^2*d1 - R^2*d2) + 2PQ*sqrt(d1), times their common sign.  No
-case refines an interval, so no comparison of two exact finite values
-can fail.  An interval is ordered against a value only when it lies
+floating comparison: compare reads the parts of each value once, inf as
+(1, 0, 0, 0), and orders every pair of kinds by one rule on them.  No
+case refines an interval, so no comparison of two exact values can
+fail.  An interval is ordered against a value only when it lies
 strictly on one side, by the same rules on its two ends.  The family is
 closed under integer Moebius maps of determinant one (within one
 quadratic field).  Each of the Moebius image and the ceiling of a
@@ -380,49 +378,51 @@ def _sign_of_root_combination(A: int, B: int, d: int) -> int:
     return 1 if t < 0 else -1  # A < 0, B > 0
 
 
+def _point(x) -> tuple[int, int, int, int] | None:
+    """_parts(x), with inf as (1, 0, 0, 0): the limit of n/m as m -> 0+, so
+    the sign rules over parts order it above every real and equal to itself.
+    None for an Approx, an interval and no point."""
+    t = type(x)  # an exact type test: isinstance walks the bases on each miss
+    if t is Rational:
+        return x.numerator, 0, x.denominator, 0
+    if t is Surd:
+        return x.a, x.b, x.c, x.d
+    if x is INF:
+        return 1, 0, 0, 0
+    return None if t is Approx else _parts(x)
+
+
 def compare(x: BoundaryValue, y: BoundaryValue) -> int:
     """Total-order comparison returning LESS / EQUAL / GREATER.
 
-    Exact values are ordered by integer signs.  Against a rational or
-    within one field, sign(x - y) is the sign of A + B*sqrt(d).  For
-    surds from fields d1 != d2, scaling both by c1*c2 > 0 turns x - y
-    into X - Y with X = P + Q*sqrt(d1) and Y = R*sqrt(d2), both nonzero.
-    When sign(X) != sign(Y) the answer is sign(X); otherwise it is
-    sign(X) * sign(X^2 - Y^2), where X^2 - Y^2 = (P^2 + Q^2*d1 - R^2*d2)
-    + 2PQ*sqrt(d1) is never zero because the fields share no irrational.
-    An Approx is LESS or GREATER only when its whole interval is, and
-    EQUAL when the order of its points is not decided.
+    Exact values are ordered by integer signs over their parts, inf being
+    (1, 0, 0, 0) under the same rule.  Scaling x - y by c1*c2 >= 0 gives
+    P + Q*sqrt(d1) - R*sqrt(d2).  Against a rational or inf, or within one
+    field, that is A + B*sqrt(d), whose sign decides: inf minus a finite
+    (a + b*sqrt(d))/c is A = c > 0, and inf minus inf is 0.  For surds from
+    fields d1 != d2 it is X - Y with X = P + Q*sqrt(d1) and Y = R*sqrt(d2),
+    both nonzero.  When sign(X) != sign(Y) the answer is sign(X); otherwise
+    it is sign(X) * sign(X^2 - Y^2), where X^2 - Y^2 = (P^2 + Q^2*d1 -
+    R^2*d2) + 2PQ*sqrt(d1) is never zero because the fields share no
+    irrational.  An Approx is LESS or GREATER only when its whole interval
+    is, and EQUAL when the order of its points is not decided.
     """
-    x, y = _coerce(x), _coerce(y)
-    if isinstance(x, Surd):
-        a, b, c, d = x.a, x.b, x.c, x.d
-        if isinstance(y, Rational):
-            n, m = y.numerator, y.denominator
-            return _sign_of_root_combination(a * m - n * c, b * m, d)
-        if isinstance(y, Surd):
-            c2 = y.c
-            P, Q = a * c2 - y.a * c, b * c2
-            if y.d == d:
-                return _sign_of_root_combination(P, Q - y.b * c, d)
-            R = y.b * c
-            sx, sy = _sign_of_root_combination(P, Q, d), (R > 0) - (R < 0)
-            if sx != sy:
-                return sx
-            t = _sign_of_root_combination(P * P + Q * Q * d - R * R * y.d, 2 * P * Q, d)
-            return sx * t
-    elif isinstance(x, Rational):
-        n, m = x.numerator, x.denominator
-        if isinstance(y, Rational):
-            t = n * y.denominator - y.numerator * m
-            return (t > 0) - (t < 0)
-        if isinstance(y, Surd):
-            # n/m - (a + b sqrt(d))/c has the sign of (n*c - a*m) - b*m*sqrt(d)
-            return _sign_of_root_combination(n * y.c - y.a * m, -y.b * m, y.d)
-    xi, yi = isinstance(x, Infinity), isinstance(y, Infinity)
-    if xi or yi:
-        if xi and yi:
-            return EQUAL
-        return GREATER if xi else LESS
+    px, py = _point(x), _point(y)
+    if px is None or py is None:
+        return _compare_approx(x, y)
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = px, py
+    P, Q, R = a1 * c2 - a2 * c1, b1 * c2, b2 * c1
+    if d1 == d2 or not (d1 and d2):
+        return _sign_of_root_combination(P, Q - R, d1 or d2)
+    sx, sy = _sign_of_root_combination(P, Q, d1), (R > 0) - (R < 0)
+    if sx != sy:
+        return sx
+    return sx * _sign_of_root_combination(P * P + Q * Q * d1 - R * R * d2, 2 * P * Q, d1)
+
+
+def _compare_approx(x, y) -> int:
+    """compare where x or y is an Approx, the closed interval [lo, hi]:
+    ordered only when the whole interval lies on one side."""
     x_lo, x_hi = (x.lo, x.hi) if isinstance(x, Approx) else (x, x)
     y_lo, y_hi = (y.lo, y.hi) if isinstance(y, Approx) else (y, y)
     if compare(x_hi, y_lo) == LESS:

@@ -40,9 +40,7 @@ from fractions import Fraction
 
 from .exact import (
     EQUAL,
-    GREATER,
     INF,
-    LESS,
     BoundaryValue,
     Infinity,
     Rational,
@@ -143,13 +141,10 @@ class SectionPoint:
     def __post_init__(self):
         x, y = self.geodesic.forward, self.geodesic.backward
         line = _coprime(self.line.numerator, self.line.denominator)
-        if self.direction == +1:
-            ok = compare(y, line) == LESS and compare(x, line) == GREATER
-        elif self.direction == -1:
-            ok = compare(x, line) == LESS and compare(y, line) == GREATER
-        else:
+        if self.direction not in (+1, -1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction!r}")
-        if not ok:
+        # the geodesic runs from y to x, so y lies behind the line and x ahead of it
+        if not compare(y, line) == -self.direction == -compare(x, line):
             raise ValueError("geodesic does not cross the line transversally in that direction")
 
     def crossing(self) -> CrossingPoint:

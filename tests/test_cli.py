@@ -293,6 +293,31 @@ def test_bad_counts_and_paths_are_argument_errors(capsys, argv):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+def _raise(error):
+    def raiser(*args, **kwargs):
+        raise error
+    return raiser
+
+
+@pytest.mark.parametrize(
+    "target, error, argv, says",
+    [
+        # numpy's allocation error names the size it could not allocate
+        ("cuspdyn.transfer.collocation_matrix", MemoryError("Unable to allocate 298. GiB"),
+         ("spectrum", "--modular", "--nodes", "100000"), "error: Unable to allocate 298. GiB"),
+        # the interpreter's own MemoryError has no text
+        ("cuspdyn.dynamics.CFDigits.expand", MemoryError(),
+         ("cf", "--x", "surd:(0+1*sqrt(2))/1", "--digits", "300000000"), "error: out of memory"),
+    ],
+    ids=["spectrum", "cf"],
+)
+def test_out_of_memory_is_an_argument_error(capsys, monkeypatch, target, error, argv, says):
+    monkeypatch.setattr(target, _raise(error))
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == says + "\n"
+
+
 def test_modular_domain_second_sphere(tmp_path, capsys):
     # the modular preset is level 1: spheres |z| = 1 and |z - 1| = 1
     svg_path = tmp_path / "modular.svg"

@@ -79,6 +79,42 @@ def test_compare_examples():
     assert compare(Rational(Fraction(1, 3)), Rational(Fraction(1, 3))) == EQUAL
 
 
+def _ends(v) -> tuple[float, float]:
+    """The float ends of the closed interval a value stands for; an exact value is a point."""
+    if isinstance(v, Approx):
+        return v.lo.to_float(), v.hi.to_float()
+    f = float(v) if isinstance(v, (int, Fraction)) else v.to_float()
+    return f, f
+
+
+def test_compare_across_kinds():
+    """Every ordered pair of kinds against its float ends: ordered when the two
+    intervals are apart, EQUAL when they meet (equal points included)."""
+    samples = [
+        Rational(-7, 3), Rational(1, 2), Rational(3),  # rationals
+        normalize_surd(1, 1, 2, 5), normalize_surd(1, -1, 2, 5), normalize_surd(-1, 1, 2, 5),  # Q(sqrt 5)
+        normalize_surd(0, 1, 1, 2), normalize_surd(0, -1, 1, 2), normalize_surd(1, 1, 2, 3),  # other fields
+        INF,
+        Approx(0.5, 1e-9), Approx(1.5, 0.2), Approx(-5.0, 0.5),
+        3, -2,
+        Fraction(1, 2), Fraction(-7, 3),
+    ]
+    for x in samples:
+        for y in samples:
+            (x_lo, x_hi), (y_lo, y_hi) = _ends(x), _ends(y)
+            want = LESS if x_hi < y_lo else GREATER if x_lo > y_hi else EQUAL
+            if want != EQUAL:  # well apart, so the floats decide
+                assert max(y_lo - x_hi, x_lo - y_hi) > 1e-6
+            assert compare(x, y) == want, (x, y)
+            assert compare(y, x) == -want, (x, y)
+    assert compare(INF, INF) == EQUAL and compare(INF, Infinity()) == EQUAL
+    for x in samples:
+        if x is not INF:
+            assert compare(x, INF) == LESS and compare(INF, x) == GREATER
+    approx = Approx(10.0**300, 10.0**299)
+    assert compare(approx, INF) == LESS and compare(INF, approx) == GREATER
+
+
 def test_equality_is_structural_and_agrees_with_hash():
     assert Interval(Rational(0), None) != Interval(None, None)
     assert Termination("cusp", 3, at=Rational(1)) != Termination("cusp", 3)
@@ -201,6 +237,10 @@ def test_arithmetic_field_ops():
         for x, y in ((s, INF), (INF, Rational(1)), (Rational(1), Approx(0.5)), (Approx(0.5), s)):
             with pytest.raises(TypeError):
                 op(x, y)
+    # order reads inf as the parts (1, 0, 0, 0), but field arithmetic refuses it
+    for op in (operator.neg, lambda v: v.reciprocal(), floor_exact, lambda v: ceil_moebius((1, 0, 1, 1), v)):
+        with pytest.raises(TypeError):
+            op(INF)
 
 
 def test_floor_exact():
