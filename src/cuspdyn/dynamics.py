@@ -9,9 +9,11 @@ run-length acceleration is the ordinary continued fraction algorithm.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from functools import cached_property
+from itertools import chain, repeat
 
 from .exact import (
     EQUAL,
@@ -184,10 +186,11 @@ def _record(label, lo, hi, y_lo, y_hi, h, rep_line, rep_dir) -> BranchRecord:
     )
 
 
-def _position(pairs: tuple, a: int, b: int, c: int, d: int) -> int:
-    """Position of (a + b*sqrt(d))/c among the cuts n/m by bisection: the value
-    minus n/m has the sign of (a*m - n*c) + b*m*sqrt(d), as c, m > 0."""
-    lo, hi = 0, len(pairs)
+def _position(pairs: tuple, lo: int, hi: int, a: int, b: int, c: int, d: int) -> int:
+    """Position of (a + b*sqrt(d))/c among the cuts n/m, known to lie above the
+    cuts before pairs[lo] and below those from pairs[hi], by bisection of
+    pairs[lo:hi]: the value minus n/m has the sign of (a*m - n*c) + b*m*sqrt(d),
+    as c, m > 0."""
     while lo < hi:
         mid = (lo + hi) // 2
         n, m = pairs[mid]
@@ -216,10 +219,14 @@ class BranchTable:
     Position 2i is the gap just below cuts[i] and 2i + 1 is cuts[i]; _at
     holds the branch index at each position (None on the cuts and in empty
     gaps), _images the positions of the ends of each branch image (-1 and
-    len(_at) when unbounded).  _runs maps the label of each parabolic
-    branch that follows itself to its (M, N), read off each branch alone
-    by _parabolic_run: code_future takes the runs of these letters in one
-    step, reading a row (record, key of h^{-1}, run or None) of _steps.
+    len(_at) when unbounded), and _gaps the position of each branch's own
+    interval by label.  _runs maps the label of each parabolic branch that
+    follows itself to its (M, N), read off each branch alone by
+    _parabolic_run: code_future takes the runs of these letters in one
+    step, reading a row (record, key of h^{-1}, run or None, lo, hi) of
+    _steps.  F maps the interval onto the open image, so the next state
+    lies strictly inside it, beyond the cuts before pairs[lo] and below
+    those from pairs[hi]: the next lookup bisects only pairs[lo:hi].
     """
 
     p: int
@@ -229,6 +236,7 @@ class BranchTable:
     _pairs: tuple = field(init=False, repr=False, compare=False)
     _at: tuple = field(init=False, repr=False, compare=False)
     _images: tuple = field(init=False, repr=False, compare=False)
+    _gaps: dict = field(init=False, repr=False, compare=False)
     _runs: dict = field(init=False, repr=False, compare=False)
     _steps: tuple = field(init=False, repr=False, compare=False)
 
@@ -253,10 +261,14 @@ class BranchTable:
         end = lambda e, unbounded: unbounded if e is None else at_cut.get(e) or self._locate(e)[0]
         images = tuple((end(r.image.lo, -1), end(r.image.hi, len(at))) for r in self.branches)
         object.__setattr__(self, "_images", images)
+        object.__setattr__(self, "_gaps", {self.branches[k].label: i for i, k in enumerate(at) if k is not None})
         object.__setattr__(self, "_by_label", {rec.label: rec for rec in self.branches})
         runs = {rec.label: run for rec in self.branches if (run := _parabolic_run(rec))}
         object.__setattr__(self, "_runs", runs)
-        steps = tuple((rec, rec.h_inv.key(), runs.get(rec.label)) for rec in self.branches)
+        # an image end at position e: the cuts strictly above it start at (e + 1) // 2,
+        # and those strictly below it end before e // 2
+        steps = tuple((rec, rec.h_inv.key(), runs.get(rec.label), (lo + 1) // 2, hi // 2)
+                      for rec, (lo, hi) in zip(self.branches, images))
         object.__setattr__(self, "_steps", steps)
 
     def branch(self, label) -> BranchRecord:
@@ -275,12 +287,13 @@ class BranchTable:
         """First and last position of x, inf in the last gap; they differ only for
         an Approx within its error of a cut."""
         pairs = self._pairs
+        n = len(pairs)
         if isinstance(x, Approx):
             lo, hi = x.lo, x.hi
-            return _span(_position(pairs, lo.numerator, 0, lo.denominator, 0),
-                         _position(pairs, hi.numerator, 0, hi.denominator, 0))
+            return _span(_position(pairs, 0, n, lo.numerator, 0, lo.denominator, 0),
+                         _position(pairs, 0, n, hi.numerator, 0, hi.denominator, 0))
         a, b, c, d = _point(x)
-        i = _position(pairs, a, b, c, d)
+        i = _position(pairs, 0, n, a, b, c, d)
         return i, i
 
     def branch_at(self, x: BoundaryValue) -> BranchRecord | None:
@@ -431,18 +444,27 @@ class Termination:
 
 @dataclass(frozen=True)
 class CodingSequence:
-    """Letters over the alphabet, one- or two-sided.
+    """Letters over the alphabet, one- or two-sided, stored as their runs.
 
-    letters[origin] is the letter a_0 of the current state; indices below
-    origin are past letters.  For a periodic future coding the letters
-    from the origin consist of the preperiod followed by one full period.
+    runs holds the maximal runs (label, n), n >= 1, with neighbouring
+    labels distinct: the coding's own unit, one jump of code_future each
+    (for the modular preset the run lengths are the continued fraction
+    digits).  letters spells them out, built on first read; as the runs
+    are maximal, equal runs mean equal letters.  letters[origin] is the
+    letter a_0 of the current state; indices below origin are past
+    letters.  For a periodic future coding the letters from the origin
+    consist of the preperiod followed by one full period.
     """
 
     table_kind: str
-    letters: tuple
+    runs: tuple
     termination: Termination
     origin: int = 0
     past_termination: Termination | None = None
+
+    @cached_property
+    def letters(self) -> tuple:
+        return tuple(chain.from_iterable(repeat(label, n) for label, n in self.runs))
 
     def to_json(self) -> dict:
         out = {
@@ -458,37 +480,41 @@ class CodingSequence:
 
 
 def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingSequence:
-    """Forward letters of x, with exact-state period detection.
+    """Forward runs of x, with exact-state period detection.
 
     Each step of the loop takes one letter, or in a parabolic branch that
     follows itself the whole run of that letter: its length is one exact
-    ceiling and its end one Moebius image (see _parabolic_run).  An Approx
-    state runs as far as its shorter end does.  A period is reported only
-    when an orbit state repeats exactly; letter-window heuristics are
-    never used.  Termination reasons are data, not errors.  Only the
-    letters are kept: the orbit state after letters[:k] is x replayed
-    through table.branch(label).apply for each of them.
+    ceiling and its end one Moebius image (see _parabolic_run).  A step
+    appends a run, or extends the last one when it repeats its letter.
+    An Approx state runs as far as its shorter end does.  A period is
+    reported only when an orbit state repeats exactly; letter-window
+    heuristics are never used.  Termination reasons are data, not
+    errors.  Only the runs are kept: the orbit state after letters[:k] is
+    x replayed through table.branch(label).apply for each of them.
 
     The state is a tuple of integer triples (a, b, c) over the radicand d
     of x (0 for a rational): the parts of an exact value, or of the two
     rational ends of an Approx.  A step maps each by exact._image_parts, a
     run lasts the least exact._ceil_parts of them, and seen is keyed by
-    the state.  A value is built only where no branch takes the point
-    (inf, a rational of a level p > 1, a state at a position with no
-    branch), and branch_of raises the cusp, precision-exhausted or
-    outside-domain error.
+    the state.  The first step bisects every cut; a later one only the
+    cuts inside the image of the branch just taken (see BranchTable).  A
+    value is built only where no branch takes the point (inf, a rational
+    of a level p > 1, a state at a position with no branch), and
+    branch_of raises the cusp, precision-exhausted or outside-domain
+    error.
 
     States are looked up at step starts.  The first repeat there comes
     exactly one period after the earlier state, and the minimal preperiod
-    is found by backing off while letters[i-1] == letters[i-1+per]: two
-    equal letters that lead to one state come from one state, because
-    each branch is injective.  A period that closes by max_steps shows by
-    the first step start at or past it, unless the preperiod ends inside
-    a run.  Then it shows one run later, and that first start is exactly
-    at max_steps and begins a run of a letter that has already run more
-    than once; only then does the loop look up a start at or past
-    max_steps, and take one more run.  Letters past max_steps are kept up
-    to 2 * max_steps, enough to back off from any such repeat.
+    is found by backing off while letters[i-1] == letters[i-1+per], a run
+    at a time (_back_off): two equal letters that lead to one state come
+    from one state, because each branch is injective.  A period that
+    closes by max_steps shows by the first step start at or past it,
+    unless the preperiod ends inside a run.  Then it shows one run later,
+    and that first start is exactly at max_steps and begins a run of a
+    letter that has already run more than once; only then does the loop
+    look up a start at or past max_steps, and take one more run.  So the
+    last step starts at or before max_steps, and the cut at max_steps
+    falls in the last run.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -498,17 +524,19 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
     parts = [_parts(e) for e in ((x.lo, x.hi) if approx else (x,))]
     d, state = parts[0][3], tuple(e[:3] for e in parts)
     pairs, at, steps = table._pairs, table._at, table._steps
-    letters: list = []
+    runs: list = []  # (label, n); run r starts at letter starts[r]
+    starts: list = []
+    last = None
     seen: dict = {state: 0}
     repeated: set = set()  # letters that have run more than once
     term = None
-    pos = 0
+    pos, lo, hi = 0, 0, len(pairs)
     while True:
         if pos >= max_steps and (pos > max_steps or not repeated):
             break
         a, b, c = state[0]
-        i = _position(pairs, a, b, c, d)
-        k = at[_span(i, _position(pairs, *state[1], d))[0] if approx else i]
+        i = _position(pairs, lo, hi, a, b, c, d)
+        k = at[_span(i, _position(pairs, lo, hi, *state[1], d))[0] if approx else i]
         if pos >= max_steps:
             if k is None or steps[k][0].label not in repeated:
                 break
@@ -516,7 +544,7 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
             ends = [_surd(*e, d) for e in state]
             term = _stop(table, _approx(*ends) if approx else ends[0], pos)
             break
-        rec, g, run = steps[k]
+        rec, g, run, lo, hi = steps[k]
         n = 1
         if run is not None:
             M, N = run
@@ -528,27 +556,48 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
                 repeated.add(rec.label)
         image = _image_parts(g, a, b, c, d)
         state = (image, _image_parts(g, *state[1], d)) if approx else (image,)
-        letters.extend([rec.label] * min(n, 2 * max_steps - pos))
+        if rec.label == last:
+            runs[-1] = (last, runs[-1][1] + n)
+        else:
+            last = rec.label
+            runs.append((last, n))
+            starts.append(pos)
         pos += n
         t = seen.setdefault(state, pos)
         if t != pos:
             per = pos - t
-            if len(letters) == pos:
-                pre = t
-                while pre and letters[pre - 1] == letters[pre - 1 + per]:
-                    pre -= 1
+            if per <= max_steps:
+                pre, r = _back_off(runs, starts, t, per)
                 if pre + per <= max_steps:
                     term = Termination("periodic", pre + per, preperiod=pre, period=per)
-                    letters = letters[: pre + per]
+                    del runs[r + 1 :]
+                    runs[r] = (runs[r][0], pre + per - starts[r])
             break
     if term is None:
-        letters = letters[:max_steps]
-        term = Termination("step-cap", len(letters))
+        if pos > max_steps:
+            label, n = runs.pop()
+            if n > pos - max_steps:
+                runs.append((label, n - pos + max_steps))
+            pos = max_steps
+        term = Termination("step-cap", pos)
     return CodingSequence(
         table_kind=table.name,
-        letters=tuple(letters),
+        runs=tuple(runs),
         termination=term,
     )
+
+
+def _back_off(runs: list, starts: list, t: int, per: int) -> tuple[int, int]:
+    """The least pre <= t with letters[i] == letters[i + per] for pre <= i < t, and
+    the run holding letter pre + per - 1, for runs that start at starts and
+    end at letter t + per: letters pre - 1 and pre - 1 + per sit in runs ra
+    and rb, and while their labels agree pre drops to the later run start."""
+    pre, ra, rb = t, bisect_right(starts, t - 1) - 1, len(runs) - 1
+    while pre and runs[ra][0] == runs[rb][0]:
+        pre = max(starts[ra], starts[rb] - per)
+        ra -= starts[ra] == pre
+        rb -= starts[rb] == pre + per
+    return pre, rb
 
 
 def _stop(table: BranchTable, x: BoundaryValue, pos: int) -> Termination:
@@ -594,21 +643,23 @@ def code_two_sided(
     n_future: int,
     n_past: int,
 ) -> CodingSequence:
-    """Two-sided letters of the pair (x, y) on the reduced section.
+    """Two-sided runs of the pair (x, y) on the reduced section.
 
-    Future letters follow the first coordinate; past letters are found by
+    Future runs follow the first coordinate; past letters are found by
     the unique k with (h_k x, h_k y) on the reduced section over k, among
     the branches whose image contains x.  Finding two such k, or none for
     an irrational pair, is an internal error.  A rational end stops the
     past side at the cusp; an Approx pair that an h_k maps across its pole
-    or onto a representative line stops it as precision-exhausted.
+    or onto a representative line stops it as precision-exhausted.  The
+    past letters are joined, in time order, to the future runs.
 
-    An exact pair steps on the integer parts (a, b, c, d) of its ends: each
-    h_k maps y by exact._image_parts for the section test, the image of the
-    one k found is the next y, and x is mapped and located only when
-    another past step follows.  The first past step reuses the position of
-    x that the section check looked up; a value is built only for a cusp
-    ending.
+    Only the first past step looks x up: it reuses the position that the
+    section check found.  h_k maps the open image of branch k onto branch
+    k's open interval, so after a past step by k, x lies in k's own gap,
+    and x itself is never mapped (a rational stays rational).  An exact y
+    steps on its integer parts (a, b, c, d): each h_k maps it by
+    exact._image_parts for the section test, and the image of the one k
+    found is the next y; a value is built only for a cusp ending.
     """
     if compare(x, y) == EQUAL:
         raise ValueError("geodesic endpoints must be distinct")
@@ -617,18 +668,17 @@ def code_two_sided(
         raise ValueError("(x, y) is not on the reduced cross section")
 
     future = code_future(table, x, n_future)
-    past_letters: list = []
+    past: list = []  # runs of the past letters, nearest first
     past_term = None
     exact = not (isinstance(x, Approx) or isinstance(y, Approx))
-    cx, cy = (_parts(x), _parts(y)) if exact else (x, y)
+    rational = isinstance(x, Rational)
+    cy = _parts(y) if exact else y
     for step in range(n_past):
-        if step:
-            span = (_position(table._pairs, *cx),) * 2 if exact else table._locate(cx)
         covering = table._covering(*span)
         if exact:
             images = [(*_image_parts(rec.h.key(), *cy), cy[3]) for rec in covering]
             hits = [(rec, e) for rec, e in zip(covering, images) if _beyond_line(rec, *e)]
-            cusp = not hits and (cx[1] == 0 or cy[1] == 0)
+            cusp = not hits and (rational or cy[1] == 0)
         else:
             try:
                 images = [rec.h.apply_boundary(cy) for rec in covering]
@@ -636,25 +686,31 @@ def code_two_sided(
             except PrecisionExhausted:
                 past_term = Termination("precision-exhausted", step)
                 break
-            cusp = not hits and (isinstance(cx, Rational) or isinstance(cy, Rational))
+            cusp = not hits and (rational or isinstance(cy, Rational))
         if cusp:
             past_term = Termination("cusp", step, at=_surd(*cy) if exact else cy)
             break
         if len(hits) != 1:
             raise AssertionError(f"past branch not unique at step {step}: {[rec.label for rec, _ in hits]}")
         rec, cy = hits[0]
-        past_letters.append(rec.label)
-        if step + 1 < n_past:
-            cx = (*_image_parts(rec.h.key(), *cx), cx[3]) if exact else rec.h.apply_boundary(cx)
+        label = rec.label
+        if past and past[-1][0] == label:
+            past[-1] = (label, past[-1][1] + 1)
+        else:
+            past.append((label, 1))
+        span = (table._gaps[label],) * 2
     if past_term is None:
-        past_term = Termination("step-cap", len(past_letters))
+        past_term = Termination("step-cap", n_past)
 
-    letters = tuple(reversed(past_letters)) + future.letters
+    runs = future.runs
+    if past and runs and past[0][0] == runs[0][0]:
+        runs = ((runs[0][0], past[0][1] + runs[0][1]),) + runs[1:]
+        del past[0]
     return CodingSequence(
         table_kind=table.name,
-        letters=letters,
+        runs=tuple(reversed(past)) + runs,
         termination=future.termination,
-        origin=len(past_letters),
+        origin=past_term.step,
         past_termination=past_term,
     )
 
@@ -691,59 +747,65 @@ class CFDigits:
 
 
 def accelerate_to_cf(seq: CodingSequence, max_digits: int = 64) -> CFDigits:
-    """Run-length encode a modular future coding into CF digits.
+    """Read the CF digits of a modular future coding off its runs.
 
     The orbit of x > 1 under the slow map spells 1^(a0) 0^(a1) 1^(a2)...
-    where [a0; a1, a2, ...] is the regular continued fraction of x.  A
-    cusp-terminated orbit always ends exactly at the fixed boundary point
-    1, and [.., a_n, 1] = [.., a_n + 1] closes the final digit.
+    where [a0; a1, a2, ...] is the regular continued fraction of x, so the
+    digits are the run lengths.  A cusp-terminated orbit always ends
+    exactly at the fixed boundary point 1, and [.., a_n, 1] = [.., a_n + 1]
+    closes the final digit.  A capped coding may have cut its last run
+    short, so that run is dropped.
     """
     if seq.table_kind != "modular":
         raise ValueError("acceleration is defined only for the modular preset")
     if seq.origin != 0:
         raise ValueError("acceleration expects a future-sided coding")
-    letters = seq.letters
-    if not letters:
+    runs = seq.runs
+    if not runs:
         raise ValueError("empty coding sequence")
-    if letters[0] != 1:
+    if runs[0][0] != 1:
         raise ValueError("acceleration needs x > 1 (leading letter 1)")
+    lengths = [n for _, n in runs]
 
     term = seq.termination
     if term.kind == "cusp":
         if not (isinstance(term.at, Rational) and term.at.fr == 1):
             raise AssertionError("modular cusp hit away from the boundary point 1")
-        runs = _rle(letters)
-        runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        return CFDigits(tuple(n for _, n in runs), complete=True)
+        lengths[-1] += 1
+        return CFDigits(tuple(lengths), complete=True)
 
     if term.kind == "periodic":
-        # letters spell the preperiod and one period; the digits repeat from
-        # the first position i of the period that starts a run both at i and
-        # one period later
+        # the runs spell the preperiod and one period; the digits repeat from
+        # the first run start i >= pre that is also a run start one period
+        # later, where letters[pre:] follow the last run again: pre itself
+        # when it starts a run of a letter other than the last run's, else
+        # the end of the run r that holds letter pre
         pre, per = term.preperiod, term.period
-        stream = letters + letters[pre:]
-        i = next(
-            t
-            for t in range(pre, pre + per)
-            if (t == 0 or stream[t - 1] != stream[t]) and stream[t + per - 1] != stream[t + per]
-        )
-        pre_digits = tuple(n for _, n in _rle(letters[:i]))
-        per_digits = tuple(n for _, n in _rle(stream[i : i + per]))
+        r, start = 0, 0
+        while start + lengths[r] <= pre:
+            start += lengths[r]
+            r += 1
+        if start == pre and runs[r][0] != runs[-1][0]:
+            pre_digits, per_digits = lengths[:r], lengths[r:]
+        else:
+            # the letters pre..i close the period: their own digit, or the
+            # last run's continued
+            pre_digits, per_digits = lengths[: r + 1], lengths[r + 1 :]
+            head = start + lengths[r] - pre
+            if runs[r][0] == runs[-1][0]:
+                per_digits[-1] += head
+            else:
+                per_digits.append(head)
         # the letters alternate runs, so a minimal letter period holds an even
         # number of runs: an odd digit period shows up twice over
         half = len(per_digits) // 2
         if per_digits[:half] == per_digits[half:]:
             per_digits = per_digits[:half]
+        pre_digits, per_digits = tuple(pre_digits), tuple(per_digits)
         digits = pre_digits + per_digits
         if len(digits) > max_digits + 1:
             return CFDigits(digits[: max(max_digits, 0)], complete=False)
         return CFDigits(digits, complete=False, preperiod=pre_digits, period=per_digits)
 
     # step-cap or precision-exhausted: only complete runs are trustworthy
-    runs = _rle(letters)
-    return CFDigits(tuple(n for _, n in runs[:-1]), complete=False)
-
-
-def _rle(letters) -> list[tuple[object, int]]:
-    return [(label, len(list(run))) for label, run in groupby(letters)]
-
+    return CFDigits(tuple(lengths[:-1]), complete=False)

@@ -83,10 +83,20 @@ class FordDomain:
         return 0 <= z.x <= 1 and all(s.side(z) >= 0 for s in self.spheres)
 
     def precell_indices(self, z: HPoint) -> list[int]:
-        """Indices k with z in the closed precell A(v_k); empty if outside."""
-        if not self.in_closure(z):
+        """Indices k with z in the closed precell A(v_k); empty if outside.
+
+        Closure is decided by the two spheres beside f = floor(p x), the rule
+        of _reduce: a point strictly inside sphere j has |p x - j| < 1.  At
+        x = 1 the spheres of the last slice include the one at j = p.
+        """
+        X, W, Y, V = z.x.numerator, z.x.denominator, z.y2.numerator, z.y2.denominator
+        if not 0 <= X <= W:
             return []
-        f, r = divmod(self.p * z.x.numerator, z.x.denominator)
+        f, r = divmod(self.p * X, W)
+        for _, _, c, d in self._neighbours[min(f, self.p - 1)]:
+            u = c * X + d * W  # |cz + d|^2 - 1 times W^2 V, as in IsometricSphere.side
+            if (u * u - W * W) * V + c * c * Y * W * W < 0:
+                return []
         return list(range(max(f - (r == 0), 0), min(f, self.p - 1) + 1))
 
 

@@ -251,12 +251,14 @@ class CollocationOperator:
             raise ValueError("need at least 4 nodes per interval")
         n = nodes_per_interval
         charts = [_chart(rec.interval) for rec in table.branches]
+        # the matrix first: numpy refuses one beyond memory at once, before the
+        # node arrays (each of n floats) are built
+        size = len(charts) * n
+        M = np.zeros((size, size), dtype=complex if isinstance(beta, complex) else float)
         t, lam = _cheb_nodes(n)
         xs = [x_of(t) for x_of, _, _ in charts]
         self.node_x = np.concatenate(xs)
         self.node_weight = np.concatenate([W(xc) for xc, (_, _, W) in zip(xs, charts)])
-        size = len(self.node_x)
-        M = np.zeros((size, size), dtype=complex if isinstance(beta, complex) else float)
         # the rows of every interval m that follows branch k get one block in the
         # columns of k, filled at once; each block is written once
         for k, (_, t_of, W) in enumerate(charts):

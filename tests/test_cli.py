@@ -318,6 +318,15 @@ def test_out_of_memory_is_an_argument_error(capsys, monkeypatch, target, error, 
     assert captured.out == "" and captured.err == says + "\n"
 
 
+def test_a_collocation_matrix_beyond_memory_is_refused_before_its_nodes(capsys, monkeypatch):
+    # at 10^9 nodes per interval the node arrays alone take 8 GB each; numpy refuses
+    # the (size x size) matrix at once, so it is allocated first
+    monkeypatch.setattr("cuspdyn.transfer._cheb_nodes", _raise(AssertionError("nodes built before the matrix")))
+    assert main(["spectrum", "--modular", "--nodes", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_modular_domain_second_sphere(tmp_path, capsys):
     # the modular preset is level 1: spheres |z| = 1 and |z - 1| = 1
     svg_path = tmp_path / "modular.svg"

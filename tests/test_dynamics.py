@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from cuspdyn.dynamics import (
     NEG_INF_LABEL,
     BranchTable,
+    CFDigits,
     CodingSequence,
     CuspPointError,
     Interval,
@@ -269,12 +272,13 @@ _TWO_SIDED = [
 @pytest.mark.parametrize("t, x, y, past, a0", _TWO_SIDED, ids=[row[0].name for row in _TWO_SIDED])
 def test_code_two_sided_looks_up_x_once_per_side(t, x, y, past, a0, monkeypatch):
     # the section check's lookup of x serves the first past step, and the
-    # future side makes one more; nothing is looked up past either cap
+    # future side makes one more; a later past step knows x's gap from the
+    # branch it took, and nothing is looked up past either cap
     calls = _counting_position(monkeypatch)
-    seq = code_two_sided(t, x, y, 1, 1)
-    assert len(calls) == 2
     for n in range(1, 7):
+        calls.clear()
         seq = code_two_sided(t, x, y, 1, n)
+        assert len(calls) == 2, n
         assert seq.letters == tuple(reversed(past[:n])) + (a0,) and seq.origin == n
         assert seq.past_termination == Termination("step-cap", n)
 
@@ -380,6 +384,89 @@ def test_acceleration_reports_the_minimal_period():
         pre, per = continued_fraction_surd(x)
         cf = accelerate_to_cf(code_future(tm, x, 500000), max_digits=2 * len(pre + per) + 16)
         assert (list(cf.preperiod), list(cf.period)) == (pre, per), emit_value(x)
+
+
+def _cf_by_letters(seq, max_digits=64):
+    """accelerate_to_cf over the letters: the reference for its reading of the runs."""
+    if seq.table_kind != "modular":
+        raise ValueError("acceleration is defined only for the modular preset")
+    if seq.origin != 0:
+        raise ValueError("acceleration expects a future-sided coding")
+    letters = seq.letters
+    if not letters:
+        raise ValueError("empty coding sequence")
+    if letters[0] != 1:
+        raise ValueError("acceleration needs x > 1 (leading letter 1)")
+    rle = lambda letters: [(label, len(list(run))) for label, run in groupby(letters)]
+    term = seq.termination
+    if term.kind == "cusp":
+        runs = rle(letters)
+        runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        return CFDigits(tuple(n for _, n in runs), complete=True)
+    if term.kind == "periodic":
+        # the first position i of the period that starts a run both at i and
+        # one period later
+        pre, per = term.preperiod, term.period
+        stream = letters + letters[pre:]
+        i = next(
+            t
+            for t in range(pre, pre + per)
+            if (t == 0 or stream[t - 1] != stream[t]) and stream[t + per - 1] != stream[t + per]
+        )
+        pre_digits = tuple(n for _, n in rle(letters[:i]))
+        per_digits = tuple(n for _, n in rle(stream[i : i + per]))
+        half = len(per_digits) // 2
+        if per_digits[:half] == per_digits[half:]:
+            per_digits = per_digits[:half]
+        digits = pre_digits + per_digits
+        if len(digits) > max_digits + 1:
+            return CFDigits(digits[: max(max_digits, 0)], complete=False)
+        return CFDigits(digits, complete=False, preperiod=pre_digits, period=per_digits)
+    return CFDigits(tuple(n for _, n in rle(letters)[:-1]), complete=False)
+
+
+def _period_start(seq):
+    """Where the digit period starts among the runs: at the preperiod ("start"), or at
+    the next run start, the preperiod starting a run of the last run's letter
+    ("same") or ending inside a run ("inside")."""
+    pre, start, runs = seq.termination.preperiod, 0, seq.runs
+    r = 0
+    while start + runs[r][1] <= pre:
+        start += runs[r][1]
+        r += 1
+    if start < pre:
+        return "inside"
+    return "same" if runs[r][0] == runs[-1][0] else "start"
+
+
+def test_cf_from_runs_matches_the_letter_reference():
+    tm = modular_table()
+    rng = random.Random(59)
+    xs = [normalize_surd(a, 1, c, d) for a, c, d in ((2, 1, 3), (2, 1, 2), (2, 2, 2), (1, 1, 6), (2, 1, 5))]
+    for _ in range(150):  # small c: short periods, odd ones common
+        c = rng.choice((1, 2, 3, 5, 7))
+        xs.append(normalize_surd(rng.randrange(c, c + 20), 1, c, rng.randrange(2, 300)))
+    xs += [sample_surd_in(rng, Fraction(1), Fraction(30), rng.choice(SQUAREFREE), b_max=4, c_range=(5, 40))
+           for _ in range(20)]
+    xs += [Rational(Fraction(rng.randint(2, 2500), rng.randint(1, 50))) for _ in range(30)]
+    xs += [Approx(rng.uniform(0.5, 30), err) for err in (1e-12, 1e-6, 1e-3) for _ in range(10)]
+    seen = Counter()
+    for x in xs:
+        full = code_future(tm, x, 10**5)
+        n = len(full.letters)
+        for cap in sorted({1, 2, n // 2 or 1, n - 1 or 1, n, 10**5}):
+            seq = code_future(tm, x, cap)
+            kind = seq.termination.kind
+            for max_digits in (0, 1, 2, 5, 64):
+                got = _outcome(accelerate_to_cf, seq, max_digits)
+                assert got == _outcome(_cf_by_letters, seq, max_digits), (emit_value(x), cap, max_digits)
+                seen["truncated"] += kind == "periodic" and not isinstance(got, tuple) and got.period is None
+            seen[kind] += 1
+            if kind == "periodic":
+                seen[_period_start(seq)] += 1
+                seen["odd period"] += len(accelerate_to_cf(seq, n).period) % 2
+    want = {"start", "same", "inside", "odd period", "truncated", "step-cap", "cusp", "precision-exhausted"}
+    assert want <= set(+seen), seen
 
 
 def test_cusp_orbit_charaterization():
@@ -620,7 +707,7 @@ def _code_future_by_letter(t, x, max_steps, keep_states=False):
             seen[nxt] = step + 1
     if term is None:
         term = Termination("step-cap", len(letters))
-    seq = CodingSequence(t.name, tuple(letters), term)
+    seq = CodingSequence(t.name, tuple((label, len(list(run))) for label, run in groupby(letters)), term)
     return (seq, states) if keep_states else seq
 
 
@@ -646,7 +733,14 @@ def test_jump_coding_matches_letter_loop(t):
         caps = {1, 2, 3, pre, pre + 1, pre + per - 1, pre + per, pre + per + 1, n - 1, n, n + 1,
                 rng.randint(1, n + 2)}
         for cap in sorted(c for c in caps if c >= 1):
-            assert code_future(t, x, cap) == _code_future_by_letter(t, x, cap), (x, cap)
+            seq, want = code_future(t, x, cap), _code_future_by_letter(t, x, cap)
+            assert seq == want, (x, cap)
+            assert _maximal(seq.runs) and seq.letters == want.letters, (x, cap)
+
+
+def _maximal(runs):
+    """Whether runs are maximal (label, n): n >= 1 and neighbouring labels differ."""
+    return all(n >= 1 for _, n in runs) and all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
 
 
 @pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
@@ -707,6 +801,15 @@ def test_period_closing_at_the_cap_inside_a_run():
     assert seq.letters == (1, 1, 1, 0)
     assert seq.termination == Termination("periodic", 4, preperiod=1, period=3)
     assert code_future(tm, x, 3).termination == Termination("step-cap", 3)
+
+
+def test_a_long_run_is_kept_as_one_pair():
+    # 10000001/2 runs 5000000 letters 1, then one letter 0 to the cusp 1, and
+    # the coding holds two runs; letters spells them out only when read
+    seq = code_future(modular_table(), Rational(Fraction(10000001, 2)), 10000001)
+    assert seq.runs == ((1, 5000000), (0, 1)) and "letters" not in vars(seq)
+    assert seq.termination == Termination("cusp", 5000001, at=Rational(1))
+    assert accelerate_to_cf(seq).digits == (5000000, 2) and "letters" not in vars(seq)
 
 
 def test_jump_coding_applies_one_element_per_run(monkeypatch):

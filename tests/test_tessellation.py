@@ -424,6 +424,27 @@ def test_reduction_matches_fraction_reference(q):
     assert 0 < boundary < count
 
 
+@pytest.mark.parametrize("q", (211, 1009))
+def test_precell_indices_match_the_closure_scan_at_large_levels(q):
+    # as above, with the integer reduction in place of the Fraction one, which
+    # scans every sphere per round; points just inside and outside each sphere
+    # top, and inside a sphere left of its centre (in the slice below it), test
+    # the two-sphere closure rule where it decides
+    rng, dom = random.Random(1100 + q), _domain(q)
+    tops = [HPoint(m.x, m.y2 * (1 + s * Fraction(1, 10**9))) for m in dom.maxima[:: q // 20] for s in (-1, 1)]
+    tops += [HPoint(m.x - Fraction(1, 4 * q), m.y2 / 2) for m in dom.maxima[:: q // 20]]
+    tops += [HPoint(Fraction(1), Fraction(1, 4)), HPoint(Fraction(0), Fraction(3, 4))]
+    inside = 0
+    for z in _differential_points(rng, q, 60) + tops:
+        w = reduce_point(q, z)[1]
+        for v in (z, w):
+            ks = [j for j in range(q) if Fraction(j, q) <= v.x <= Fraction(j + 1, q)]
+            closed = dom.in_closure(v)
+            assert dom.precell_indices(v) == (ks if closed else []), v
+            inside += 0 <= v.x <= 1 and not closed
+    assert inside >= 20
+
+
 def test_reduction_at_a_large_prime():
     """p = 10007, where the Fraction reference is too slow: vertices and maxima beside
     k = 1, (p-1)/2 and p-1, and Gamma_0(p)-translates of each, reduce into the closure."""

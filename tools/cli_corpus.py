@@ -6,8 +6,10 @@ Each tree runs in its own process and calls cuspdyn.cli.main for every
 invocation: the README examples at every level, exact and approx code,
 plain and traced, one- and two-sided (inf among the backward endpoints
 of two-sided code and of return), traced code at step caps 1 to 12,
-cf (also on sqrt 2, 13 and 41, and on 100001 at a step cap below and at
-its run length), transfer cases, transfer on one valid and eleven
+cf (also on sqrt 2, 13 and 41, on values whose digit period starts at
+the preperiod or at the next run start, the preperiod ending inside a
+run or starting a run of the last run's letter, and on 100001 at a step
+cap below and at its run length), transfer cases, transfer on one valid and eleven
 malformed --phi file: densities (among them a boolean node, a boolean
 value and a repeated node), next and traced previous return cases,
 code and return on a ratio of consecutive 627-digit Fibonacci numbers,
@@ -32,7 +34,12 @@ XS = ["rat:7/3", "rat:-5/7", "rat:1000001/2", "surd:(1+1*sqrt(5))/2", "surd:(-1+
       "surd:(3+2*sqrt(7))/5", "surd:(1+1*sqrt(2))/7", "inf", "approx:0.3", "approx:0.6", "approx:1e-5",
       "approx:2.1113077514094725", "approx:-2.420509706659658", "approx:2.20747578431883"]
 YS = ["surd:(0+-1*sqrt(2))/1", "rat:-1/3", "surd:(1+1*sqrt(2))/3", "approx:-0.5", "approx:-3.7", "inf"]
-CF_XS = ["surd:(0+1*sqrt(2))/1", "surd:(0+1*sqrt(13))/1", "surd:(0+1*sqrt(41))/1"]  # odd digit periods
+# odd digit periods, then the digit period's start among the runs: at the preperiod,
+# which starts a run (2 + sqrt 5), or at the next run start, the preperiod ending
+# inside a run (2 + sqrt 3, 2 + sqrt 2) or starting a run of the last run's letter
+# ((2 + sqrt 2)/2, and at preperiod 0 sqrt 2, 13 and 41)
+CF_XS = ["surd:(0+1*sqrt(2))/1", "surd:(0+1*sqrt(13))/1", "surd:(0+1*sqrt(41))/1", "surd:(2+1*sqrt(5))/1",
+         "surd:(2+1*sqrt(3))/1", "surd:(2+1*sqrt(2))/1", "surd:(2+1*sqrt(2))/2"]
 TRACED = ["surd:(0+1*sqrt(101))/1", "surd:(1+-1*sqrt(101))/100", "approx:10.04987562112089"]  # runs of p, 0, -1
 HEAVY = ["surd:(564+147*sqrt(10))/25", "surd:(865+98*sqrt(2))/32", "surd:(479+-147*sqrt(7))/38"]  # periods of 10,659-47,360 letters
 PHI_FILES = {  # written to the working directory of each run
