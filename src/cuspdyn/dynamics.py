@@ -9,6 +9,7 @@ run-length acceleration is the ordinary continued fraction algorithm.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +25,8 @@ from .exact import (
     PrecisionExhausted,
     Rational,
     _approx,
-    _ceil_parts,
+    _form,
+    _form_image,
     _image_parts,
     _parts,
     _point,
@@ -186,15 +188,22 @@ def _record(label, lo, hi, y_lo, y_hi, h, rep_line, rep_dir) -> BranchRecord:
     )
 
 
-def _position(pairs: tuple, lo: int, hi: int, a: int, b: int, c: int, d: int) -> int:
-    """Position of (a + b*sqrt(d))/c among the cuts n/m, known to lie above the
+def _position(pairs: tuple, lo: int, hi: int, P: int, Q: int, D: int) -> int:
+    """Position of x = (P + sqrt(D))/Q among the cuts n/m, known to lie above the
     cuts before pairs[lo] and below those from pairs[hi], by bisection of
-    pairs[lo:hi]: the value minus n/m has the sign of (a*m - n*c) + b*m*sqrt(d),
-    as c, m > 0."""
+    pairs[lo:hi]; D is 0 or not a square.  x - n/m = (A + m*sqrt(D))/(m*Q)
+    with A = m*P - n*Q, and A + m*sqrt(D) has the sign of A when A > 0, of
+    D when A = 0, and of m^2 D - A^2 when A < 0: one squaring, no root."""
     while lo < hi:
         mid = (lo + hi) // 2
         n, m = pairs[mid]
-        s = _sign_of_root_combination(a * m - n * c, b * m, d)
+        s = m * P - n * Q
+        if s < 0:
+            s = m * m * D - s * s
+        elif not s:
+            s = D
+        if Q < 0:
+            s = -s
         if s < 0:
             hi = mid
         elif s > 0:
@@ -202,6 +211,34 @@ def _position(pairs: tuple, lo: int, hi: int, a: int, b: int, c: int, d: int) ->
         else:
             return 2 * mid + 1
     return 2 * lo
+
+
+def _run_roots(dets: tuple, D: int) -> dict:
+    """2*isqrt(m*m*D) + 1 for each m in dets, the |det M| of the runs, or 0 for a
+    rational (D = 0): all that _run_length needs to know of sqrt(D)."""
+    roots = dict.fromkeys(dets, 0)
+    if D:
+        for m in dets:  # a loop: a comprehension would cost more than the isqrt
+            roots[m] = 2 * math.isqrt(m * m * D) + 1
+    return roots
+
+
+def _run_length(M: tuple, P: int, Q: int, N: int, v: int) -> int:
+    """ceil(M x) for x = (P + sqrt(D))/Q and an integer M of determinant delta,
+    given v = 2*isqrt(delta^2 D) + 1 with the sign of delta (0 for D = 0; see
+    _run_roots).
+
+    The form action of M (exact._form_image) gives M x = (u + delta*sqrt(D))/w,
+    as for determinant one but with the root scaled by delta.  For w > 0,
+    ceil(M x) = ceil((u + e)/w) with e = (v + 1) >> 1: r + 1 for a root term
+    between r and r + 1, -r for one between -r - 1 and -r, and 0 for a
+    rational.  For w < 0 the root term of (-u - delta*sqrt(D))/(-w) flips
+    its sign, and e = (1 - v) >> 1.
+    """
+    A, B, C, D = M
+    x, y = Q * D + P * C, P * D - N * C
+    u, w = B * x + A * y, D * x + C * y
+    return -((-u - ((v + 1) >> 1)) // w) if w > 0 else -((u - ((1 - v) >> 1)) // -w)
 
 
 def _span(lo: int, hi: int) -> tuple[int, int]:
@@ -224,9 +261,12 @@ class BranchTable:
     follows itself to its (M, N), read off each branch alone by
     _parabolic_run: code_future takes the runs of these letters in one
     step, reading a row (record, key of h^{-1}, run or None, lo, hi) of
-    _steps.  F maps the interval onto the open image, so the next state
-    lies strictly inside it, beyond the cuts before pairs[lo] and below
-    those from pairs[hi]: the next lookup bisects only pairs[lo:hi].
+    _steps, where a run is (M, N, det M).  F maps the interval onto the
+    open image, so the next state lies strictly inside it, beyond the cuts
+    before pairs[lo] and below those from pairs[hi]: the next lookup
+    bisects only pairs[lo:hi].  _dets holds the distinct |det M| of the
+    runs, the multipliers m whose isqrt(m*m*D) a coding over discriminant
+    D takes once.
     """
 
     p: int
@@ -239,6 +279,7 @@ class BranchTable:
     _gaps: dict = field(init=False, repr=False, compare=False)
     _runs: dict = field(init=False, repr=False, compare=False)
     _steps: tuple = field(init=False, repr=False, compare=False)
+    _dets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ivs = [rec.interval for rec in self.branches]
@@ -265,9 +306,12 @@ class BranchTable:
         object.__setattr__(self, "_by_label", {rec.label: rec for rec in self.branches})
         runs = {rec.label: run for rec in self.branches if (run := _parabolic_run(rec))}
         object.__setattr__(self, "_runs", runs)
+        det = lambda M: M[0] * M[3] - M[1] * M[2]
+        object.__setattr__(self, "_dets", tuple(sorted({abs(det(M)) for M, _ in runs.values()})))
         # an image end at position e: the cuts strictly above it start at (e + 1) // 2,
         # and those strictly below it end before e // 2
-        steps = tuple((rec, rec.h_inv.key(), runs.get(rec.label), (lo + 1) // 2, hi // 2)
+        run_of = lambda label: None if label not in runs else (*runs[label], det(runs[label][0]))
+        steps = tuple((rec, rec.h_inv.key(), run_of(rec.label), (lo + 1) // 2, hi // 2)
                       for rec, (lo, hi) in zip(self.branches, images))
         object.__setattr__(self, "_steps", steps)
 
@@ -286,15 +330,19 @@ class BranchTable:
     def _locate(self, x: BoundaryValue) -> tuple[int, int]:
         """First and last position of x, inf in the last gap; they differ only for
         an Approx within its error of a cut."""
-        pairs = self._pairs
-        n = len(pairs)
         if isinstance(x, Approx):
-            lo, hi = x.lo, x.hi
-            return _span(_position(pairs, 0, n, lo.numerator, 0, lo.denominator, 0),
-                         _position(pairs, 0, n, hi.numerator, 0, hi.denominator, 0))
-        a, b, c, d = _point(x)
-        i = _position(pairs, 0, n, a, b, c, d)
+            return _span(self._place(x.lo), self._place(x.hi))
+        i = 2 * len(self._pairs) if x is INF else self._place(x)
         return i, i
+
+    def _place(self, x: BoundaryValue) -> int:
+        """The position of a finite exact x = (a + b*sqrt(d))/c.  The cut test reads
+        only P, Q and D of x = (P + sqrt(D))/Q, so x goes in as (a, c, b^2 d),
+        with the signs of a and c turned when b < 0."""
+        a, b, c, d = _point(x)
+        if b < 0:
+            a, b, c = -a, -b, -c
+        return _position(self._pairs, 0, len(self._pairs), a, c, b * b * d)
 
     def branch_at(self, x: BoundaryValue) -> BranchRecord | None:
         """The branch whose open interval contains x, or None."""
@@ -492,16 +540,23 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
     errors.  Only the runs are kept: the orbit state after letters[:k] is
     x replayed through table.branch(label).apply for each of them.
 
-    The state is a tuple of integer triples (a, b, c) over the radicand d
-    of x (0 for a rational): the parts of an exact value, or of the two
-    rational ends of an Approx.  A step maps each by exact._image_parts, a
-    run lasts the least exact._ceil_parts of them, and seen is keyed by
-    the state.  The first step bisects every cut; a later one only the
-    cuts inside the image of the branch just taken (see BranchTable).  A
-    value is built only where no branch takes the point (inf, a rational
-    of a level p > 1, a state at a position with no branch), and
-    branch_of raises the cusp, precision-exhausted or outside-domain
-    error.
+    The state is the binary quadratic form (P, Q, N) of the point x =
+    (P + sqrt(D))/Q, D = P^2 + Q*N, or of each of the two rational ends of
+    an Approx (exact._form): one discriminant D serves the whole orbit.  A
+    rational n/m is the form (n*m, m^2, -n^2) of D = 0, so one formula
+    serves every kind.  A step maps the form by exact._form_image, and
+    seen is keyed by (P, Q), which only the one value has over D (with the
+    upper end's form for an Approx).  The per-call set-up takes
+    isqrt(m*m*D) once for each |det M| = m of the runs (table._dets), so
+    a step takes no gcd, norm or square root: a cut test is the sign of
+    an integer sum, squared when negative (_position), and a run lasts
+    the least _run_length of the forms, one floor division.  The first
+    step bisects every cut; a later one only the cuts inside the image of
+    the branch just taken (see BranchTable).  A value is built only where
+    no branch takes the point (inf, a rational of a level p > 1, a state
+    at a position with no branch), from (P, Q) and the scale s with D =
+    s*s*d, and branch_of raises the cusp, precision-exhausted or
+    outside-domain error.
 
     States are looked up at step starts.  The first repeat there comes
     exactly one period after the earlier state, and the minimal preperiod
@@ -521,41 +576,47 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
     if isinstance(x, Infinity) or table.p > 1 and isinstance(x, Rational):
         return CodingSequence(table.name, (), _stop(table, x, 0))
     approx = isinstance(x, Approx)
-    parts = [_parts(e) for e in ((x.lo, x.hi) if approx else (x,))]
-    d, state = parts[0][3], tuple(e[:3] for e in parts)
+    a, b, c, d = _parts(x.lo if approx else x)
+    P, Q, N, s = _form(a, b, c, d)
+    far = _form(*_parts(x.hi))[:3] if approx else None  # the form of the upper end
+    D = s * s * d
+    roots = _run_roots(table._dets, D)
     pairs, at, steps = table._pairs, table._at, table._steps
     runs: list = []  # (label, n); run r starts at letter starts[r]
     starts: list = []
     last = None
-    seen: dict = {state: 0}
+    seen: dict = {(P, Q, far): 0}
     repeated: set = set()  # letters that have run more than once
     term = None
     pos, lo, hi = 0, 0, len(pairs)
     while True:
         if pos >= max_steps and (pos > max_steps or not repeated):
             break
-        a, b, c = state[0]
-        i = _position(pairs, lo, hi, a, b, c, d)
-        k = at[_span(i, _position(pairs, lo, hi, *state[1], d))[0] if approx else i]
+        i = _position(pairs, lo, hi, P, Q, D)
+        if approx:
+            i = _span(i, _position(pairs, lo, hi, far[0], far[1], 0))[0]
+        k = at[i]
         if pos >= max_steps:
             if k is None or steps[k][0].label not in repeated:
                 break
         elif k is None:
-            ends = [_surd(*e, d) for e in state]
-            term = _stop(table, _approx(*ends) if approx else ends[0], pos)
+            end = _surd(P, s, Q, d)
+            term = _stop(table, _approx(end, _surd(far[0], 0, far[1], 0)) if approx else end, pos)
             break
         rec, g, run, lo, hi = steps[k]
         n = 1
         if run is not None:
-            M, N = run
-            n = _ceil_parts(M, a, b, c, d)
+            M, R, delta = run
+            v = roots[delta] if delta > 0 else -roots[-delta]
+            n = _run_length(M, P, Q, N, v)
             if approx:
-                n = min(n, _ceil_parts(M, *state[1], d))
-            g = (1 + n * N[0], n * N[1], n * N[2], 1 + n * N[3])
+                n = min(n, _run_length(M, *far, v))
+            g = (1 + n * R[0], n * R[1], n * R[2], 1 + n * R[3])
             if n > 1:
                 repeated.add(rec.label)
-        image = _image_parts(g, a, b, c, d)
-        state = (image, _image_parts(g, *state[1], d)) if approx else (image,)
+        P, Q, N = _form_image(g, P, Q, N)
+        if approx:
+            far = _form_image(g, *far)
         if rec.label == last:
             runs[-1] = (last, runs[-1][1] + n)
         else:
@@ -563,7 +624,7 @@ def code_future(table: BranchTable, x: BoundaryValue, max_steps: int) -> CodingS
             runs.append((last, n))
             starts.append(pos)
         pos += n
-        t = seen.setdefault(state, pos)
+        t = seen.setdefault((P, Q, far), pos)
         if t != pos:
             per = pos - t
             if per <= max_steps:

@@ -33,12 +33,14 @@ case refines an interval, so no comparison of two exact values can
 fail.  An interval is ordered against a value only when it lies
 strictly on one side, by the same rules on its two ends.  The family is
 closed under integer Moebius maps of determinant one (within one
-quadratic field).  Each of the Moebius image and the ceiling of a
-Moebius image is one integer formula over the parts, _image_parts and
-_ceil_parts: GroupElement.apply_boundary, ceil_moebius and the coding
-loop of dynamics.code_future all go through them, and the past step of
-dynamics.code_two_sided and the first-return oracle (flow_oracle) map
-points by _image_parts.
+quadratic field), and the image is one integer formula over the parts,
+_image_parts: GroupElement.apply_boundary, the first-return oracle
+(flow_oracle) and the past step of dynamics.code_two_sided map points by
+it.  ceil_moebius takes the ceiling of an image under any nonzero
+determinant.  The coding loop of dynamics.code_future uses neither: it
+carries its orbit point as a binary quadratic form of one discriminant
+D, made once from the parts by _form and mapped by _form_image, which
+takes integer products alone.
 """
 
 from __future__ import annotations
@@ -448,15 +450,11 @@ def ceil_moebius(matrix: tuple[int, int, int, int], x: BoundaryValue) -> int:
     """Exact ceiling of (a*x + b)/(c*x + d) for matrix = (a, b, c, d).
 
     The integer matrix may have any nonzero determinant; x is a rational
-    or a surd off its pole.
+    or a surd off its pole.  For a surd the quotient is rationalised by
+    the conjugate of its denominator, so one isqrt decides it.
     """
-    return _ceil_parts(matrix, *_parts(x))
-
-
-def _ceil_parts(M: tuple[int, int, int, int], a: int, b: int, c: int, d: int) -> int:
-    """ceil_moebius at the parts of (a + b*sqrt(d))/c; for a surd the quotient is
-    rationalised by the conjugate of its denominator, so one isqrt decides it."""
-    A, B, C, D = M
+    A, B, C, D = matrix
+    a, b, c, d = _parts(x)
     if b == 0:
         return -(-(A * a + B * c) // (C * a + D * c))
     n0, n1 = A * a + B * c, A * b
@@ -485,6 +483,38 @@ def _image_parts(g: tuple[int, int, int, int], a: int, b: int, c: int, d: int) -
         a, b, c = -a, -b, -c
     k = math.gcd(a, b, c)
     return (a, b, c) if k == 1 else (a // k, b // k, c // k)
+
+
+def _form(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """(P, Q, N, s) with (a + b*sqrt(d))/c = (P + sqrt(D))/Q, D = s*s*d = P^2 + Q*N,
+    for canonical parts: the root of Q*x^2 - 2*P*x - N taken with +sqrt(D).
+
+    A surd is scaled by k = c/gcd(c, b^2 d - a^2) with the sign of b,
+    so s = k*|b|, and (P, Q) is the only such pair for the value and D.  A
+    rational n/m is the square form (n*m, m^2, -n^2) with D = 0 and s = 0.
+    """
+    if b == 0:
+        return a * c, c * c, -a * a, 0
+    t = b * b * d - a * a
+    g = math.gcd(c, t)
+    k = c // g
+    if b < 0:
+        return -k * a, -k * c, -t // g, -k * b
+    return k * a, k * c, t // g, k * b
+
+
+def _form_image(g: tuple[int, int, int, int], P: int, Q: int, N: int) -> tuple[int, int, int]:
+    """The form (P', Q', N') of g((P + sqrt(D))/Q) for det g = 1, which keeps D and
+    the +sqrt(D) root: integer products alone, with no gcd, norm or division.
+
+    It is the congruence of the symmetric matrix [[Q, -P], [-P, -N]] by
+    g^-1 = [[D, -B], [-C, A]] for g = (A, B, C, D), and the pole of g maps
+    to Q' = 0.
+    """
+    A, B, C, D = g
+    x, y = Q * D + P * C, P * D - N * C
+    u, v = Q * B + P * A, P * B - N * A
+    return B * x + A * y, D * x + C * y, -(B * u + A * v)
 
 
 # --- text grammar -----------------------------------------------------------

@@ -307,7 +307,7 @@ def _raise(error):
          ("spectrum", "--modular", "--nodes", "100000"), "error: Unable to allocate 298. GiB"),
         # the interpreter's own MemoryError has no text
         ("cuspdyn.dynamics.CFDigits.expand", MemoryError(),
-         ("cf", "--x", "surd:(0+1*sqrt(2))/1", "--digits", "300000000"), "error: out of memory"),
+         ("cf", "--x", "surd:(0+1*sqrt(2))/1", "--digits", "4000000"), "error: out of memory"),
     ],
     ids=["spectrum", "cf"],
 )
@@ -325,6 +325,30 @@ def test_a_collocation_matrix_beyond_memory_is_refused_before_its_nodes(capsys, 
     assert main(["spectrum", "--modular", "--nodes", "1000000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("code", "--modular", "--x", "rat:23/2", "--steps", "100"), 12),  # 11 letters 1, one letter 0
+    (("code", "--modular", "--x", "rat:13/2", "--trace"), 15),  # 7 letters and 8 states
+    (("code", "--p", "5", "--x", "surd:(0+1*sqrt(2))/1", "--y", "surd:(0+-1*sqrt(2))/1",
+      "--steps", "6", "--past", "6"), 12),
+    (("cf", "--x", "surd:(1+1*sqrt(5))/2", "--digits", "12"), 12),  # the period unrolled
+    (("cf", "--x", "rat:610/377"), 13),  # a terminating expansion, all digits
+])
+def test_printed_output_beyond_the_bound_is_refused_before_it_is_spelled_out(capsys, monkeypatch, argv, count):
+    monkeypatch.setattr("cuspdyn.cli.MAX_PRINTED", count)
+    assert main(list(argv)) == 0
+    out = json.loads(capsys.readouterr().out)
+    printed = len(out.get("digits", [])) + len(out.get("letters", [])) + len(out.get("states", []))
+    assert printed == count
+    monkeypatch.setattr("cuspdyn.cli.MAX_PRINTED", count - 1)
+    for target in ("CodingSequence.letters", "CodingSequence.to_json", "CFDigits.expand", "CFDigits.to_json"):
+        monkeypatch.setattr(f"cuspdyn.dynamics.{target}", property(_raise(AssertionError(f"{target} spelled out")))
+                            if target.endswith("letters") else _raise(AssertionError(f"{target} called")))
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the output would hold {count} ") and str(count - 1) in captured.err
 
 
 def test_modular_domain_second_sphere(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -815,8 +816,8 @@ def test_a_long_run_is_kept_as_one_pair():
 def test_jump_coding_applies_one_element_per_run(monkeypatch):
     tm = modular_table()
     calls = []
-    image = dynamics._image_parts
-    monkeypatch.setattr(dynamics, "_image_parts", lambda g, *parts: calls.append(g) or image(g, *parts))
+    image = dynamics._form_image
+    monkeypatch.setattr(dynamics, "_form_image", lambda g, *form: calls.append(g) or image(g, *form))
     seq = code_future(tm, Rational(Fraction(1000001, 2)), 10**6)
     # 1000001/2 runs 500000 letters 1 to 1/2, one letter 0 to the cusp 1
     assert seq.letters == (1,) * 500000 + (0,)
@@ -839,6 +840,105 @@ def test_coding_builds_no_values_on_long_periods(monkeypatch):
     for (t, x, pre, per), seq in zip(cases, want):
         assert seq.termination == Termination("periodic", pre + per, preperiod=pre, period=per)
         assert code_future(t, parse_value(x), 10**6) == seq
+
+
+def test_coding_takes_its_square_roots_and_gcd_once_per_call(monkeypatch):
+    # one gcd scales the form and one isqrt per run determinant sets the run
+    # lengths up; the steps take none, however many there are
+    cases = [(modular_table(), "surd:(564+147*sqrt(10))/25", 4, 47360),
+             (branch_table(5), "surd:(157+4*sqrt(26))/200", 0, 1312)]
+    calls = Counter()
+    isqrt, gcd = math.isqrt, math.gcd
+    monkeypatch.setattr(math, "isqrt", lambda n: calls.update(["isqrt"]) or isqrt(n))
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.update(["gcd"]) or gcd(*args))
+    for t, x, pre, per in cases:
+        x = parse_value(x)
+        for cap in (1, 2, 100, pre + per - 1, 10**6):
+            calls.clear()
+            seq = code_future(t, x, cap)
+            assert calls == Counter(isqrt=len(t._dets), gcd=1), (t.name, cap)
+        assert seq.termination == Termination("periodic", pre + per, preperiod=pre, period=per)
+
+
+_PRIMES = [q for q in range(2, 100) if all(q % f for f in range(2, q))]
+
+
+def _squarefree(rng):
+    """A squarefree radicand up to exact.MAX_RADICAND: the prime 999999999989 or a
+    product of distinct primes below 100."""
+    if rng.random() < 0.25:
+        return 999999999989
+    d = 1
+    for q in rng.sample(_PRIMES, rng.randint(1, 12)):
+        if d * q <= exact.MAX_RADICAND:
+            d *= q
+    return d
+
+
+def _form_inputs(t, rng):
+    """Values whose forms exercise the scaling: (1 +- sqrt 2)/7 and (5 - sqrt 2)/7 need
+    their discriminant scaled (7 does not divide b^2 d - a^2), random surds of
+    either sign of b with radicands up to MAX_RADICAND and c up to 10^9, then
+    rationals and Approx values."""
+    lo, hi = (0, 12) if t.p == 1 else (-3, 3)
+    xs = [normalize_surd(1, 1, 7, 2), normalize_surd(1, -1, 7, 2), normalize_surd(5, -1, 7, 2)]
+    for _ in range(9):
+        d = _squarefree(rng)
+        c = rng.choice((rng.randint(1, 60), rng.randint(1, 10**9)))
+        b = rng.choice((-1, 1)) * rng.randint(1, 40)
+        root = math.isqrt(b * b * d)  # about |b| sqrt(d)
+        xs.append(exact._surd(int(c * rng.uniform(lo, hi)) - (root if b > 0 else -root), b, c, d))
+    xs += [Rational(Fraction(rng.randint(1, 400), rng.randint(1, 30))) for _ in range(3)]
+    return xs + [Approx(rng.uniform(lo, hi), err) for err in (1e-12, 1e-6)]
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_form_coding_matches_letter_loop(t):
+    rng = random.Random(61)
+    xs = _form_inputs(t, rng)
+    surds = [x for x in xs if isinstance(x, Surd)]
+    scale = [exact._form(x.a, x.b, x.c, x.d)[3] // abs(x.b) for x in surds]
+    assert max(scale) > 1 and min(x.b for x in surds) < 0
+    assert max(x.d for x in surds) > 10**11 and max(x.c for x in surds) > 10**8
+    for x in xs:
+        full = _outcome(_code_future_by_letter, t, x, 401)
+        if isinstance(full, tuple):  # outside the modular domain
+            assert _outcome(code_future, t, x, 1) == full
+            continue
+        term = full.termination
+        caps = {1, 2, rng.randint(1, len(full.letters) + 2)}
+        if term.kind == "periodic":
+            pre, per = term.preperiod, term.period
+            caps |= {pre, pre + per, pre + per + 1}
+        for cap in sorted(c for c in caps if c >= 1):
+            assert code_future(t, x, cap) == _code_future_by_letter(t, x, cap), (x, cap)
+
+
+def test_a_modular_value_at_most_zero_is_refused_by_its_value():
+    tm = modular_table()
+    for x in (normalize_surd(1, -1, 7, 2), normalize_surd(0, -1, 1, 2), normalize_surd(-3, 1, 1, 5),
+              exact._surd(-3 * 10**6, 3, 10**9 + 7, 999999999989)):
+        with pytest.raises(OutsideDomainError) as err:
+            code_future(tm, x, 5)
+        assert str(err.value) == f"{emit_value(x)} is outside the table domain"
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_run_length_is_the_ceiling_of_the_run_matrix(t):
+    # surds of either sign of b (so of Q) and rationals, some at integers of M x,
+    # against exact.ceil_moebius
+    rng = random.Random(67)
+    xs = [sample_surd_in(rng, Fraction(-6), Fraction(6), rng.choice(SQUAREFREE)) for _ in range(40)]
+    xs += [-x for x in xs] + [Rational(Fraction(rng.randint(-60, 60), rng.randint(1, 12))) for _ in range(40)]
+    for M, _, det in {row[2] for row in t._steps if row[2]}:
+        for x in xs:
+            if x.is_exact() and isinstance(x, Rational) and M[2] * x.numerator + M[3] * x.denominator == 0:
+                continue  # x on the pole of M
+            a, b, c, d = exact._parts(x)
+            P, Q, N, s = exact._form(a, b, c, d)
+            roots = dynamics._run_roots(t._dets, s * s * d)
+            v = roots[det] if det > 0 else -roots[-det]
+            assert dynamics._run_length(M, P, Q, N, v) == exact.ceil_moebius(M, x), (M, x)
 
 
 # --- Approx intervals: every reported letter is that of every point ------------

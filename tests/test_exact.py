@@ -25,7 +25,8 @@ from cuspdyn.exact import (
     normalize_surd,
     parse_value,
 )
-from cuspdyn.exact import _approx, _coprime
+from cuspdyn.exact import _approx, _coprime, _form, _form_image, _parts, _surd
+from cuspdyn.moebius import GroupElement
 
 
 def test_normalize_already_canonical():
@@ -278,6 +279,38 @@ def test_ceil_moebius_matches_exact_arithmetic(x, m):
     if den == Rational(0):
         return  # x sits on the pole
     assert ceil_moebius(m, x) == -floor_exact(-((x * a + Rational(b)) / den))
+
+
+def _product(word):
+    g = (1, 0, 0, 1)
+    for a, b, c, d in word:
+        g = (g[0] * a + g[1] * c, g[0] * b + g[1] * d, g[2] * a + g[3] * c, g[2] * b + g[3] * d)
+    return g
+
+
+@given(
+    x=st.one_of(
+        st.builds(_surd, st.integers(-10**6, 10**6), st.integers(-99, 99).filter(bool),
+                  st.integers(1, 10**9), st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13, 999999999989))),
+        st.builds(lambda n, m: Rational(Fraction(n, m)), st.integers(-99, 99), st.integers(1, 30)),
+    ),
+    word=st.lists(st.sampled_from([(1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0), (1, 0, 5, 1)]), max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_form_image_is_the_moebius_image(x, word):
+    # the form of x is scaled to integers, keeps D under every image, and gives
+    # back the canonical value; the pole of g is Q' = 0
+    a, b, c, d = _parts(x)
+    P, Q, N, s = _form(a, b, c, d)
+    D = s * s * d
+    assert P * P + Q * N == D and _surd(P, s, Q, d) == x
+    if b:
+        assert s % abs(b) == 0 and (Q > 0) == (b > 0)
+    g = _product(word)
+    P, Q, N = _form_image(g, P, Q, N)
+    assert P * P + Q * N == D
+    image = GroupElement(*g).apply_boundary(x)
+    assert Q == 0 if image is INF else _surd(P, s, Q, d) == image
 
 
 def test_grammar_round_trip():

@@ -18,8 +18,10 @@ beta 1, --p given with --modular, the branch tables at p = 211 and 1009,
 at p = 211 traced code on the three run-heavy values and one two-sided
 code, modular code to 50,000 letters on the three longest periods of the
 coding benchmark (the first also under cf, to 24 and to 2,100 digits),
-and code at p = 5 on a 1,312-letter period, under four values of
-CUSPDYN_APPROX_ERR.  Invocations whose stdout, stderr, exit code or SVG
+code at p = 5 on a 1,312-letter period, and code at every level and cf
+at 1,000 and 20,000 steps on a surd whose radicand 999999999989 is near
+the grammar's bound and on a surd of negative b whose form needs its
+discriminant scaled, under four values of CUSPDYN_APPROX_ERR.  Invocations whose stdout, stderr, exit code or SVG
 differ are printed grouped by subcommand, input kind and outcome; an
 uncaught exception counts as the exit code "uncaught <type>".  The
 script exits 1 when any invocation differs and 0 when none does.
@@ -41,6 +43,8 @@ YS = ["surd:(0+-1*sqrt(2))/1", "rat:-1/3", "surd:(1+1*sqrt(2))/3", "approx:-0.5"
 CF_XS = ["surd:(0+1*sqrt(2))/1", "surd:(0+1*sqrt(13))/1", "surd:(0+1*sqrt(41))/1", "surd:(2+1*sqrt(5))/1",
          "surd:(2+1*sqrt(3))/1", "surd:(2+1*sqrt(2))/1", "surd:(2+1*sqrt(2))/2"]
 TRACED = ["surd:(0+1*sqrt(101))/1", "surd:(1+-1*sqrt(101))/100", "approx:10.04987562112089"]  # runs of p, 0, -1
+# a radicand near the bound, and b < 0 with 3 not dividing b^2 d - a^2 = 2 - 25
+FORMS = ["surd:(1+1*sqrt(999999999989))/1000003", "surd:(5+-1*sqrt(2))/3"]
 HEAVY = ["surd:(564+147*sqrt(10))/25", "surd:(865+98*sqrt(2))/32", "surd:(479+-147*sqrt(7))/38"]  # periods of 10,659-47,360 letters
 PHI_FILES = {  # written to the working directory of each run
     "phi-ok.json": '{"nodes": [0, 1, 2, 4], "values": [1, 0.5, 0.25, 0.5]}',
@@ -94,6 +98,10 @@ def corpus(readme):
     yield from (["code", "--modular", "--x", x, "--steps", "50000"] for x in HEAVY)
     yield from (["cf", "--x", HEAVY[0], "--steps", "50000", "--digits", n] for n in ("24", "2100"))
     yield ["code", "--p", "5", "--x", "surd:(157+4*sqrt(26))/200", "--steps", "2000"]
+    for x in FORMS:
+        for n in ("1000", "20000"):
+            yield from (["code", *level, "--x", x, "--steps", n] for level in LEVELS)
+            yield ["cf", "--x", x, "--steps", n]
     for level in (["--p", "5"], ["--modular"]):
         for x in FIBS:
             yield from (["code", *level, "--x", x], ["code", *level, "--x", x, "--trace"])
