@@ -27,10 +27,8 @@ from .exact import (
     _approx,
     _form,
     _form_image,
-    _image_parts,
     _parts,
     _point,
-    _sign_of_root_combination,
     _surd,
     compare,
     emit_value,
@@ -213,6 +211,14 @@ def _position(pairs: tuple, lo: int, hi: int, P: int, Q: int, D: int) -> int:
     return 2 * lo
 
 
+def _cut_point(x: BoundaryValue) -> tuple[int, int, int]:
+    """(P, Q, D) with x = (P + sqrt(D))/Q, all that _position reads, for an exact x
+    with parts (a, b, c, d): (a, c, b^2 d), signs turned when b < 0.  inf is
+    (1, 0, 0), which the cut rule places above every cut."""
+    a, b, c, d = _point(x)
+    return (-a, -c, b * b * d) if b < 0 else (a, c, b * b * d)
+
+
 def _run_roots(dets: tuple, D: int) -> dict:
     """2*isqrt(m*m*D) + 1 for each m in dets, the |det M| of the runs, or 0 for a
     rational (D = 0): all that _run_length needs to know of sqrt(D)."""
@@ -332,17 +338,12 @@ class BranchTable:
         an Approx within its error of a cut."""
         if isinstance(x, Approx):
             return _span(self._place(x.lo), self._place(x.hi))
-        i = 2 * len(self._pairs) if x is INF else self._place(x)
+        i = self._place(x)
         return i, i
 
     def _place(self, x: BoundaryValue) -> int:
-        """The position of a finite exact x = (a + b*sqrt(d))/c.  The cut test reads
-        only P, Q and D of x = (P + sqrt(D))/Q, so x goes in as (a, c, b^2 d),
-        with the signs of a and c turned when b < 0."""
-        a, b, c, d = _point(x)
-        if b < 0:
-            a, b, c = -a, -b, -c
-        return _position(self._pairs, 0, len(self._pairs), a, c, b * b * d)
+        """The position of an exact x among all the cuts."""
+        return _position(self._pairs, 0, len(self._pairs), *_cut_point(x))
 
     def branch_at(self, x: BoundaryValue) -> BranchRecord | None:
         """The branch whose open interval contains x, or None."""
@@ -676,25 +677,24 @@ def on_section(rec: BranchRecord, y: BoundaryValue) -> bool:
     """Whether (x, y), with x in the branch's interval, lies on the reduced cross section.
 
     The reduced section holds the pairs with a representative line
-    crossing: y lies beyond rep_line on the side opposite rep_dir.  That
-    is one integer sign rule on the parts of y; the printed y_interval is
-    the product rectangle that contains it.  An Approx y that holds the
-    line raises PrecisionExhausted.
+    crossing: y lies beyond rep_line on the side opposite rep_dir.  For an
+    exact y that is _position's cut rule against the one cut rep_line; the
+    printed y_interval is the product rectangle that contains it.  An
+    Approx y that holds the line raises PrecisionExhausted.
     """
     if isinstance(y, Approx):
         side = compare(y, Rational(rec.rep_line))
         if side == EQUAL:
             raise PrecisionExhausted(f"backward endpoint {emit_value(y)} holds the line {rec.rep_line}")
         return side == -rec.rep_dir
-    a, b, c, d = _point(y)
-    return _beyond_line(rec, a, b, c, d)
+    return _beyond_line(rec, *_cut_point(y))
 
 
-def _beyond_line(rec: BranchRecord, a: int, b: int, c: int, d: int) -> bool:
-    """on_section at y = (a + b*sqrt(d))/c, c = 0 being inf: y - n/m has the
-    sign of (a*m - n*c) + b*m*sqrt(d) for rep_line = n/m, as c, m > 0."""
+def _beyond_line(rec: BranchRecord, P: int, Q: int, D: int) -> bool:
+    """on_section at y = (P + sqrt(D))/Q: below rep_line = n/m (position 0) for
+    rep_dir +1, above it (position 2) for -1; Q = 0 is inf or a pole's image."""
     n, m = rec.rep_line.numerator, rec.rep_line.denominator
-    return c != 0 and _sign_of_root_combination(a * m - n * c, b * m, d) == -rec.rep_dir
+    return Q != 0 and _position(((n, m),), 0, 1, P, Q, D) == 1 - rec.rep_dir
 
 
 def code_two_sided(
@@ -717,10 +717,10 @@ def code_two_sided(
     Only the first past step looks x up: it reuses the position that the
     section check found.  h_k maps the open image of branch k onto branch
     k's open interval, so after a past step by k, x lies in k's own gap,
-    and x itself is never mapped (a rational stays rational).  An exact y
-    steps on its integer parts (a, b, c, d): each h_k maps it by
-    exact._image_parts for the section test, and the image of the one k
-    found is the next y; a value is built only for a cusp ending.
+    and x itself is never mapped (a rational stays rational).  An exact y,
+    whatever x is, steps as its form (P, Q, N) as in code_future: each h_k
+    maps it by exact._form_image, _beyond_line tests it, and the image of
+    the one k found is the next y; a value is built only for a cusp ending.
     """
     if compare(x, y) == EQUAL:
         raise ValueError("geodesic endpoints must be distinct")
@@ -731,15 +731,20 @@ def code_two_sided(
     future = code_future(table, x, n_future)
     past: list = []  # runs of the past letters, nearest first
     past_term = None
-    exact = not (isinstance(x, Approx) or isinstance(y, Approx))
+    exact = not isinstance(y, Approx)
     rational = isinstance(x, Rational)
-    cy = _parts(y) if exact else y
+    if exact:
+        a, b, c, d = _parts(y)
+        P, Q, N, s = _form(a, b, c, d)
+        D, cy = s * s * d, (P, Q, N)
+    else:
+        cy = y
     for step in range(n_past):
         covering = table._covering(*span)
         if exact:
-            images = [(*_image_parts(rec.h.key(), *cy), cy[3]) for rec in covering]
-            hits = [(rec, e) for rec, e in zip(covering, images) if _beyond_line(rec, *e)]
-            cusp = not hits and (rational or cy[1] == 0)
+            images = [_form_image(rec.h.key(), *cy) for rec in covering]
+            hits = [(rec, e) for rec, e in zip(covering, images) if _beyond_line(rec, e[0], e[1], D)]
+            cusp = not hits and (rational or not D)
         else:
             try:
                 images = [rec.h.apply_boundary(cy) for rec in covering]
@@ -749,7 +754,7 @@ def code_two_sided(
                 break
             cusp = not hits and (rational or isinstance(cy, Rational))
         if cusp:
-            past_term = Termination("cusp", step, at=_surd(*cy) if exact else cy)
+            past_term = Termination("cusp", step, at=_surd(cy[0], s, cy[1], d) if exact else cy)
             break
         if len(hits) != 1:
             raise AssertionError(f"past branch not unique at step {step}: {[rec.label for rec, _ in hits]}")

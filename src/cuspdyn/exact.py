@@ -33,14 +33,12 @@ case refines an interval, so no comparison of two exact values can
 fail.  An interval is ordered against a value only when it lies
 strictly on one side, by the same rules on its two ends.  The family is
 closed under integer Moebius maps of determinant one (within one
-quadratic field), and the image is one integer formula over the parts,
-_image_parts: GroupElement.apply_boundary, the first-return oracle
-(flow_oracle) and the past step of dynamics.code_two_sided map points by
-it.  ceil_moebius takes the ceiling of an image under any nonzero
-determinant.  The coding loop of dynamics.code_future uses neither: it
-carries its orbit point as a binary quadratic form of one discriminant
-D, made once from the parts by _form and mapped by _form_image, which
-takes integer products alone.
+quadratic field): GroupElement.apply_boundary maps a value by one integer
+formula over its parts.  Every exact loop, the coding loop and past step
+of dynamics and the oracle's renormalization in flow_oracle, carries its
+point instead as a binary quadratic form of one discriminant D, made once
+from the parts by _form and mapped by _form_image, which takes integer
+products alone; parts are read only to order or to build values.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ __all__ = [
     "normalize_surd",
     "compare",
     "floor_exact",
-    "ceil_moebius",
     "parse_value",
     "emit_value",
 ]
@@ -444,45 +441,6 @@ def _floor_root(a: int, b: int, c: int, d: int) -> int:
 def floor_exact(x: BoundaryValue) -> int:
     """Exact floor of a finite exact value."""
     return _floor_root(*_parts(x))
-
-
-def ceil_moebius(matrix: tuple[int, int, int, int], x: BoundaryValue) -> int:
-    """Exact ceiling of (a*x + b)/(c*x + d) for matrix = (a, b, c, d).
-
-    The integer matrix may have any nonzero determinant; x is a rational
-    or a surd off its pole.  For a surd the quotient is rationalised by
-    the conjugate of its denominator, so one isqrt decides it.
-    """
-    A, B, C, D = matrix
-    a, b, c, d = _parts(x)
-    if b == 0:
-        return -(-(A * a + B * c) // (C * a + D * c))
-    n0, n1 = A * a + B * c, A * b
-    m0, m1 = C * a + D * c, C * b
-    num0, num1, den = n0 * m0 - n1 * m1 * d, n1 * m0 - n0 * m1, m0 * m0 - m1 * m1 * d
-    if den < 0:
-        num0, num1, den = -num0, -num1, -den
-    return -_floor_root(-num0, -num1, den, d)
-
-
-def _image_parts(g: tuple[int, int, int, int], a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
-    """Canonical parts (a', b', c') of g((a + b*sqrt(d))/c) for canonical parts and
-    det g = 1: a reduced fraction maps to one (c' = 0 at the pole), and the
-    image of a surd has sqrt(d)-coefficient b*c before one gcd (as in _surd)."""
-    A, B, C, D = g
-    if b == 0:
-        num, den = A * a + B * c, C * a + D * c
-        return (num, 0, den) if den >= 0 else (-num, 0, -den)
-    n0, n1 = A * a + B * c, A * b
-    m0, m1 = C * a + D * c, C * b
-    norm = m0 * m0 - m1 * m1 * d
-    if norm == 0:
-        raise ArithmeticError("denominator norm vanished on an irrational value")
-    a, b, c = n0 * m0 - n1 * m1 * d, b * c, norm
-    if c < 0:
-        a, b, c = -a, -b, -c
-    k = math.gcd(a, b, c)
-    return (a, b, c) if k == 1 else (a // k, b // k, c // k)
 
 
 def _form(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:

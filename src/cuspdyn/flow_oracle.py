@@ -17,13 +17,13 @@ g^{-1}.  The branch tables are not consulted for any of this: they only
 supply the group and name the letter of the element found.
 
 The walk runs on integer parts: the endpoint t is (a, b, c, d) for
-(a + b*sqrt(d))/c, grid points and side ends are integer pairs (n, m)
-for n/m with (1, 0) for inf, images are exact._image_parts and each
-order test is one integer sign rule.  The record's facts are integer
-formulas over the same parts: the renormalized backward endpoint is one
-image, the point where the geodesic meets a semicircle side is one
-quotient in Q(sqrt(d)), and each crossing height is one product
-(_crossing).  Each value the record holds is made canonical once.
+(a + b*sqrt(d))/c, grid points and side ends are pairs (n, m) for n/m
+with (1, 0) for inf.  The backward endpoint is one quadratic form
+(exact._form), mapped by exact._form_image and placed against the
+labelled line by dynamics._position, as in the coding loops.  Where the
+geodesic meets a semicircle side is one quotient in Q(sqrt(d)) and each
+crossing height one product over the parts (_crossing).  Each value the
+record holds is made canonical once.
 
 Crossing positions and heights multiply the two endpoints, so the oracle
 requires both endpoints in a single real quadratic field (rationals
@@ -47,15 +47,15 @@ from .exact import (
     Surd,
     _coprime,
     _floor_root,
-    _image_parts,
+    _form,
+    _form_image,
     _parts,
     _rational,
-    _sign_of_root_combination,
     _surd,
     compare,
     emit_value,
 )
-from .dynamics import BranchTable, _inf_witness, label_to_json, on_section
+from .dynamics import BranchTable, _inf_witness, _position, label_to_json, on_section
 from .moebius import GroupElement
 from .tessellation import matrix_literal
 
@@ -257,10 +257,10 @@ def _labels(table: BranchTable, ends: tuple[tuple[int, int], tuple[int, int]]) -
             w = _inf_witness(en, em)
         else:  # e is in the cusp orbit of 0
             continue
-        rn, _, rd = _image_parts(w, on, 0, om, 0)
+        A, B, C, D = w
+        rn, rd = A * on + B * om, C * on + D * om  # r = rn/rd, with rd of either sign
         n = rn // rd
         if q % rd == 0:
-            A, B, C, D = w
             out.append(((D, D * n - B, -C, A - C * n), (rn - n * rd) * (q // rd)))
     return out
 
@@ -276,10 +276,13 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     x = geod.forward
     xa, xb, xc, _ = _parts(x)
     ya, yb, yc, _ = _parts(geod.backward)
+    P, Q, N, s = _form(ya, yb, yc, d)
     for g, j in _labels(table, side):
         A, B, C, D = g
-        a, b, c = _image_parts((D, -B, -C, A), ya, yb, yc, d)
-        direction = 1 if _sign_of_root_combination(a * q - j * c, b * q, d) < 0 else -1
+        P1, Q1, _ = _form_image((D, -B, -C, A), P, Q, N)
+        # g^-1 y lies below the line j/q (position 0), so it is crossed rightward,
+        # or above it (position 2); it is never on the line
+        direction = 1 - _position(((j, q),), 0, 1, P1, Q1, s * s * d)
         if _representative(table, j, direction):
             break
     else:
@@ -287,7 +290,7 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     g = GroupElement(*g)
     ginv = g.inv()
     base = Fraction(j, q)
-    xt, yt = ginv.apply_boundary(x), _surd(a, b, c, d)
+    xt, yt = ginv.apply_boundary(x), _surd(P1, s, Q1, d)
     # the side's grid point when it is a vertical line, else where the two circles
     # meet: (uv - xy)/((u + v) - (x + y)) for the side ends u and v, which over the
     # common denominator um*vm*xc*yc is (N0 + N1*sqrt(d))/(D0 + D1*sqrt(d))

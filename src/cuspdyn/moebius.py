@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import INF, Approx, BoundaryValue, Infinity, PrecisionExhausted, Rational, Surd
-from .exact import _approx, _coprime, _image_parts, _value_class
+from .exact import _approx, _coprime, _surd, _value_class
 
 __all__ = ["GroupElement", "HPoint", "IsometricSphere", "identity", "in_gamma0"]
 
@@ -62,16 +62,21 @@ class GroupElement:
     def apply_boundary(self, x: BoundaryValue) -> BoundaryValue:
         """Exact image of a boundary value; poles map to inf, inf to a/c.
 
-        Rationals and surds map by exact._image_parts.  The map is
-        increasing off its pole, so an Approx interval that avoids the pole
-        maps end to end; one that holds it raises PrecisionExhausted.
+        A surd maps to (n0 + n1*sqrt(d))/(m0 + m1*sqrt(d)), rationalised by
+        its denominator's conjugate.  The map is increasing off its pole, so
+        an Approx interval that avoids the pole maps end to end; one that
+        holds it raises PrecisionExhausted.
         """
-        A, B, C, D = g = self.a, self.b, self.c, self.d
+        A, B, C, D = self.a, self.b, self.c, self.d
         if isinstance(x, Surd):
-            return Surd(*_image_parts(g, x.a, x.b, x.c, x.d), x.d)
+            a, b, c, d = x.a, x.b, x.c, x.d
+            n0, n1, m0, m1 = A * a + B * c, A * b, C * a + D * c, C * b
+            return _surd(n0 * m0 - n1 * m1 * d, b * c, m0 * m0 - m1 * m1 * d, d)
         if isinstance(x, Rational):
-            a, _, c = _image_parts(g, x.numerator, 0, x.denominator, 0)
-            return _coprime(a, c) if c else INF
+            n, m = A * x.numerator + B * x.denominator, C * x.numerator + D * x.denominator
+            if m > 0:
+                return _coprime(n, m)
+            return _coprime(-n, -m) if m else INF
         if isinstance(x, Infinity):
             return INF if C == 0 else _coprime(A, C)
         if isinstance(x, Approx):

@@ -1,9 +1,29 @@
-"""Floor-and-invert continued fractions: the reference that the run-length
-digits of modular codings are checked against."""
+"""Floor-and-invert continued fractions, the reference that the run-length
+digits of modular codings are checked against, and ceil_moebius, the
+reference for the run lengths themselves."""
 
 from fractions import Fraction
 
-from cuspdyn.exact import BoundaryValue, Rational, Surd, floor_exact
+from cuspdyn.exact import BoundaryValue, Rational, Surd, _floor_root, _parts, floor_exact
+
+
+def ceil_moebius(matrix: tuple[int, int, int, int], x: BoundaryValue) -> int:
+    """Exact ceiling of (a*x + b)/(c*x + d) for matrix = (a, b, c, d).
+
+    The integer matrix may have any nonzero determinant; x is a rational
+    or a surd off its pole.  For a surd the quotient is rationalised by
+    the conjugate of its denominator, so one isqrt decides it.
+    """
+    A, B, C, D = matrix
+    a, b, c, d = _parts(x)
+    if b == 0:
+        return -(-(A * a + B * c) // (C * a + D * c))
+    n0, n1 = A * a + B * c, A * b
+    m0, m1 = C * a + D * c, C * b
+    num0, num1, den = n0 * m0 - n1 * m1 * d, n1 * m0 - n0 * m1, m0 * m0 - m1 * m1 * d
+    if den < 0:
+        num0, num1, den = -num0, -num1, -den
+    return -_floor_root(-num0, -num1, den, d)
 
 
 def continued_fraction_rational(r: Fraction) -> list[int]:

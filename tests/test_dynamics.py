@@ -36,7 +36,7 @@ from cuspdyn.exact import INF, LESS, Approx, Rational, Surd, compare, emit_value
 from cuspdyn.moebius import GroupElement
 from cuspdyn.sampling import SQUAREFREE, sample_surd_in
 
-from cf_reference import continued_fraction_rational, continued_fraction_surd
+from cf_reference import ceil_moebius, continued_fraction_rational, continued_fraction_surd
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -274,12 +274,13 @@ _TWO_SIDED = [
 def test_code_two_sided_looks_up_x_once_per_side(t, x, y, past, a0, monkeypatch):
     # the section check's lookup of x serves the first past step, and the
     # future side makes one more; a later past step knows x's gap from the
-    # branch it took, and nothing is looked up past either cap
+    # branch it took, and nothing is looked up past either cap.  A lookup
+    # bisects the table's cuts; the section tests of y place it against one line
     calls = _counting_position(monkeypatch)
     for n in range(1, 7):
         calls.clear()
         seq = code_two_sided(t, x, y, 1, n)
-        assert len(calls) == 2, n
+        assert len([args for args in calls if args[0] is t._pairs]) == 2, n
         assert seq.letters == tuple(reversed(past[:n])) + (a0,) and seq.origin == n
         assert seq.past_termination == Termination("step-cap", n)
 
@@ -926,7 +927,7 @@ def test_a_modular_value_at_most_zero_is_refused_by_its_value():
 @pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
 def test_run_length_is_the_ceiling_of_the_run_matrix(t):
     # surds of either sign of b (so of Q) and rationals, some at integers of M x,
-    # against exact.ceil_moebius
+    # against the reference ceil_moebius
     rng = random.Random(67)
     xs = [sample_surd_in(rng, Fraction(-6), Fraction(6), rng.choice(SQUAREFREE)) for _ in range(40)]
     xs += [-x for x in xs] + [Rational(Fraction(rng.randint(-60, 60), rng.randint(1, 12))) for _ in range(40)]
@@ -938,7 +939,91 @@ def test_run_length_is_the_ceiling_of_the_run_matrix(t):
             P, Q, N, s = exact._form(a, b, c, d)
             roots = dynamics._run_roots(t._dets, s * s * d)
             v = roots[det] if det > 0 else -roots[-det]
-            assert dynamics._run_length(M, P, Q, N, v) == exact.ceil_moebius(M, x), (M, x)
+            assert dynamics._run_length(M, P, Q, N, v) == ceil_moebius(M, x), (M, x)
+
+
+# --- the past side of an exact y steps on its quadratic form --------------------
+
+_PHI = normalize_surd(1, 1, 2, 5)
+_Y_SCALED = normalize_surd(-5, -1, 3, 2)  # b < 0, and its form is scaled by 3
+# table, y, whether x is Approx(phi) rather than phi, letters, termination and past
+# termination of code_two_sided(table, x, y, 6, 8); y = -(q+1)/q steps to -1/q,
+# the pole of branch 0's element.  Computed when the past side still mapped y by
+# GroupElement.apply_boundary
+_PINNED_TWO_SIDED = [
+    (TABLES[0], _Y_SCALED, False, [0, 0, 0, 0, 0, 0, 1, 1, 1, 0],
+     Termination("periodic", 2, preperiod=0, period=2), Termination("step-cap", 8)),
+    (TABLES[0], _Y_SCALED, True, [0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0],
+     Termination("step-cap", 6), Termination("step-cap", 8)),
+    (TABLES[0], Rational(-2, 1), False, [1, 1, 0],
+     Termination("periodic", 2, preperiod=0, period=2), Termination("cusp", 1, at=Rational(-1, 1))),
+    (TABLES[0], Rational(-2, 1), True, [1, 1, 0, 1, 0, 1, 0],
+     Termination("step-cap", 6), Termination("cusp", 1, at=Rational(-1, 1))),
+    (TABLES[1], _Y_SCALED, False, [-1, NEG_INF_LABEL, 2, 0, 0, 0, 2, 2, 2, 1, NEG_INF_LABEL, 1, NEG_INF_LABEL, 2],
+     Termination("periodic", 6, preperiod=0, period=6), Termination("step-cap", 8)),
+    (TABLES[1], _Y_SCALED, True, [-1, NEG_INF_LABEL, 2, 0, 0, 0, 2, 2, 2, 1, NEG_INF_LABEL, 1, NEG_INF_LABEL, 2],
+     Termination("step-cap", 6), Termination("step-cap", 8)),
+    (TABLES[1], Rational(-3, 2), False, [2, 2, 1, NEG_INF_LABEL, 1, NEG_INF_LABEL, 2],
+     Termination("periodic", 6, preperiod=0, period=6), Termination("cusp", 1, at=Rational(-1, 2))),
+    (TABLES[1], Rational(-3, 2), True, [2, 2, 1, NEG_INF_LABEL, 1, NEG_INF_LABEL, 2],
+     Termination("step-cap", 6), Termination("cusp", 1, at=Rational(-1, 2))),
+    (TABLES[2], _Y_SCALED, False, [0, 2, NEG_INF_LABEL, 3, 0, 0, 3, 3, 3, 1, 3],
+     Termination("periodic", 3, preperiod=0, period=3), Termination("step-cap", 8)),
+    (TABLES[2], _Y_SCALED, True, [0, 2, NEG_INF_LABEL, 3, 0, 0, 3, 3, 3, 1, 3, 3, 1, 3],
+     Termination("step-cap", 6), Termination("step-cap", 8)),
+    (TABLES[2], Rational(-4, 3), False, [3, 3, 1, 3],
+     Termination("periodic", 3, preperiod=0, period=3), Termination("cusp", 1, at=Rational(-1, 3))),
+    (TABLES[2], Rational(-4, 3), True, [3, 3, 1, 3, 3, 1, 3],
+     Termination("step-cap", 6), Termination("cusp", 1, at=Rational(-1, 3))),
+    (TABLES[3], _Y_SCALED, False, [2, 4, NEG_INF_LABEL, 1, 5, 0, 5, 5, 5, 3, 2, 4, NEG_INF_LABEL, 1],
+     Termination("step-cap", 6), Termination("step-cap", 8)),
+    (TABLES[3], _Y_SCALED, True, [2, 4, NEG_INF_LABEL, 1, 5, 0, 5, 5, 5, 3, 2, 4, NEG_INF_LABEL, 1],
+     Termination("step-cap", 6), Termination("step-cap", 8)),
+    (TABLES[3], Rational(-6, 5), False, [5, 5, 3, 2, 4, NEG_INF_LABEL, 1],
+     Termination("step-cap", 6), Termination("cusp", 1, at=Rational(-1, 5))),
+    (TABLES[3], Rational(-6, 5), True, [5, 5, 3, 2, 4, NEG_INF_LABEL, 1],
+     Termination("step-cap", 6), Termination("cusp", 1, at=Rational(-1, 5))),
+    (TABLES[4], _Y_SCALED, False, [10, 8, 13, 5, 6, 13, 13, 13, 13, 8, 11, 2, 5, 3],
+     Termination("step-cap", 6), Termination("step-cap", 8)),
+    (TABLES[4], _Y_SCALED, True, [10, 8, 13, 5, 6, 13, 13, 13, 13, 8, 11, 2, 5, 3],
+     Termination("step-cap", 6), Termination("step-cap", 8)),
+    (TABLES[4], Rational(-14, 13), False, [13, 13, 8, 11, 2, 5, 3],
+     Termination("step-cap", 6), Termination("cusp", 1, at=Rational(-1, 13))),
+    (TABLES[4], Rational(-14, 13), True, [13, 13, 8, 11, 2, 5, 3],
+     Termination("step-cap", 6), Termination("cusp", 1, at=Rational(-1, 13))),
+]
+
+
+@pytest.mark.parametrize(
+    "t, y, approx, letters, term, past_term", _PINNED_TWO_SIDED,
+    ids=[f"{r[0].name}-{emit_value(r[1])}-{'approx' if r[2] else 'exact'}" for r in _PINNED_TWO_SIDED],
+)
+def test_an_exact_y_steps_without_moebius_values(t, y, approx, letters, term, past_term, monkeypatch):
+    # an exact y takes the form path whatever x is, an Approx x included, so no
+    # value is mapped on either side
+    def refuse(self, v):
+        raise AssertionError(f"apply_boundary({emit_value(v)}) called")
+
+    x = Approx(_PHI.to_float()) if approx else _PHI
+    monkeypatch.setattr(GroupElement, "apply_boundary", refuse)
+    seq = code_two_sided(t, x, y, 6, 8)
+    assert list(seq.letters) == letters and seq.origin == past_term.step
+    assert (seq.termination, seq.past_termination) == (term, past_term)
+
+
+@pytest.mark.parametrize("t", TABLES, ids=lambda t: t.name)
+def test_a_pole_image_of_y_takes_no_past_branch(t):
+    # the past side reaches y = -1/q, which branch 0's element, one of those whose
+    # image holds x, sends to inf; inf lies beyond no representative line, so that
+    # branch does not take y, no other does, and the past side ends at the cusp
+    q, y = t.p, Rational(-1, t.p)
+    poles = [rec for rec in t.inverse_branches(_PHI) if rec.h.apply_boundary(y) is INF]
+    assert [rec.label for rec in poles] == [0]
+    P, Q, N, _ = exact._form(*exact._parts(y))
+    assert exact._form_image(poles[0].h.key(), P, Q, N)[1] == 0
+    assert not any(on_section(rec, INF) for rec in t.branches)
+    seq = code_two_sided(t, _PHI, Rational(-(q + 1), q), 6, 8)
+    assert seq.past_termination == Termination("cusp", 1, at=y)
 
 
 # --- Approx intervals: every reported letter is that of every point ------------

@@ -19,7 +19,6 @@ from cuspdyn.exact import (
     Rational,
     Surd,
     compare,
-    ceil_moebius,
     emit_value,
     floor_exact,
     normalize_surd,
@@ -27,6 +26,8 @@ from cuspdyn.exact import (
 )
 from cuspdyn.exact import _approx, _coprime, _form, _form_image, _parts, _surd
 from cuspdyn.moebius import GroupElement
+
+from cf_reference import ceil_moebius
 
 
 def test_normalize_already_canonical():
@@ -239,7 +240,7 @@ def test_arithmetic_field_ops():
             with pytest.raises(TypeError):
                 op(x, y)
     # order reads inf as the parts (1, 0, 0, 0), but field arithmetic refuses it
-    for op in (operator.neg, lambda v: v.reciprocal(), floor_exact, lambda v: ceil_moebius((1, 0, 1, 1), v)):
+    for op in (operator.neg, lambda v: v.reciprocal(), floor_exact):
         with pytest.raises(TypeError):
             op(INF)
 

@@ -21,10 +21,14 @@ coding benchmark (the first also under cf, to 24 and to 2,100 digits),
 code at p = 5 on a 1,312-letter period, and code at every level and cf
 at 1,000 and 20,000 steps on a surd whose radicand 999999999989 is near
 the grammar's bound and on a surd of negative b whose form needs its
-discriminant scaled, under four values of CUSPDYN_APPROX_ERR.  Invocations whose stdout, stderr, exit code or SVG
-differ are printed grouped by subcommand, input kind and outcome; an
-uncaught exception counts as the exit code "uncaught <type>".  The
-script exits 1 when any invocation differs and 0 when none does.
+discriminant scaled, and at every level two-sided code and next and
+traced previous return on a rational backward endpoint that one branch
+element maps to inf and on a backward surd of negative b whose form
+needs scaling, under four values of CUSPDYN_APPROX_ERR.  Invocations
+whose stdout, stderr, exit code or SVG differ are printed grouped by
+subcommand, input kind and outcome; an uncaught exception counts as the
+exit code "uncaught <type>".  The script exits 1 when any invocation
+differs and 0 when none does.
 """
 
 import contextlib, io, json, os, pathlib, re, subprocess, sys, tempfile
@@ -45,6 +49,9 @@ CF_XS = ["surd:(0+1*sqrt(2))/1", "surd:(0+1*sqrt(13))/1", "surd:(0+1*sqrt(41))/1
 TRACED = ["surd:(0+1*sqrt(101))/1", "surd:(1+-1*sqrt(101))/100", "approx:10.04987562112089"]  # runs of p, 0, -1
 # a radicand near the bound, and b < 0 with 3 not dividing b^2 d - a^2 = 2 - 25
 FORMS = ["surd:(1+1*sqrt(999999999989))/1000003", "surd:(5+-1*sqrt(2))/3"]
+# x and y per level q: y = -(q+1)/q steps to -1/q, the pole of branch 0's element,
+# and a backward surd of negative b whose form is scaled by 3
+PAST_PAIRS = [("surd:(1+1*sqrt(5))/2", "rat:-{}/{}"), ("surd:(-1+1*sqrt(2))/1", "surd:(-5+-1*sqrt(2))/3")]
 HEAVY = ["surd:(564+147*sqrt(10))/25", "surd:(865+98*sqrt(2))/32", "surd:(479+-147*sqrt(7))/38"]  # periods of 10,659-47,360 letters
 PHI_FILES = {  # written to the working directory of each run
     "phi-ok.json": '{"nodes": [0, 1, 2, 4], "values": [1, 0.5, 0.25, 0.5]}',
@@ -102,6 +109,12 @@ def corpus(readme):
         for n in ("1000", "20000"):
             yield from (["code", *level, "--x", x, "--steps", n] for level in LEVELS)
             yield ["cf", "--x", x, "--steps", n]
+    for level in LEVELS:
+        q = int(level[-1]) if level[0] == "--p" else 1
+        for x, y in PAST_PAIRS:
+            y = y.format(q + 1, q)
+            yield ["code", *level, "--x", x, "--y", y, "--steps", "20", "--past", "20"]
+            yield from (["return", *level, "--x", x, "--y", y, *prev] for prev in ([], ["--previous", "--trace"]))
     for level in (["--p", "5"], ["--modular"]):
         for x in FIBS:
             yield from (["code", *level, "--x", x], ["code", *level, "--x", x, "--trace"])
