@@ -53,7 +53,6 @@ from .transfer import (
     DensityFunction,
     apply_transfer,
     collocation_matrix,
-    functional_equation_residual,
 )
 
 __version__ = "0.1.0"

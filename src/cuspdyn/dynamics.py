@@ -247,6 +247,15 @@ def _run_length(M: tuple, P: int, Q: int, N: int, v: int) -> int:
     return -((-u - ((v + 1) >> 1)) // w) if w > 0 else -((u - ((1 - v) >> 1)) // -w)
 
 
+def _arc(rec: BranchRecord, A: int, B: int, C: int, D: int) -> tuple[tuple, tuple]:
+    """The ends of rec's section mapped by (A, B, C, D), in increasing order, as pairs
+    (n, m), m >= 0, inf (1, 0); inf maps to (A, C), canonical for a GroupElement."""
+    n, m = rec.rep_line.numerator, rec.rep_line.denominator
+    u, v = A * n + B * m, C * n + D * m
+    end = (u, v) if (v, u) > (0, 0) else (-u, -v)
+    return ((A, C), end) if rec.rep_dir == 1 else (end, (A, C))
+
+
 def _span(lo: int, hi: int) -> tuple[int, int]:
     """First and last position of an Approx with ends at positions lo <= hi: ends
     apart span the cuts from the first at or above lo to the last at or below hi."""
@@ -261,18 +270,18 @@ class BranchTable:
     ends, the cuts, increasing rationals; _pairs holds them as (n, m).
     Position 2i is the gap just below cuts[i] and 2i + 1 is cuts[i]; _at
     holds the branch index at each position (None on the cuts and in empty
-    gaps), _images the positions of the ends of each branch image (-1 and
-    len(_at) when unbounded), and _gaps the position of each branch's own
-    interval by label.  _runs maps the label of each parabolic branch that
-    follows itself to its (M, N), read off each branch alone by
-    _parabolic_run: code_future takes the runs of these letters in one
+    gaps), and _images the positions of the ends of each branch image (-1
+    and len(_at) when unbounded).  _runs maps the label of each parabolic
+    branch that follows itself to its (M, N), read off each branch alone
+    by _parabolic_run: code_future takes the runs of these letters in one
     step, reading a row (record, key of h^{-1}, run or None, lo, hi) of
     _steps, where a run is (M, N, det M).  F maps the interval onto the
     open image, so the next state lies strictly inside it, beyond the cuts
     before pairs[lo] and below those from pairs[hi]: the next lookup
     bisects only pairs[lo:hi].  _dets holds the distinct |det M| of the
     runs, the multipliers m whose isqrt(m*m*D) a coding over discriminant
-    D takes once.
+    D takes once.  _arcs holds the ends of each branch k's arc F_k(section_k),
+    and _pasts caches the past partition of each branch (_past).
     """
 
     p: int
@@ -282,7 +291,8 @@ class BranchTable:
     _pairs: tuple = field(init=False, repr=False, compare=False)
     _at: tuple = field(init=False, repr=False, compare=False)
     _images: tuple = field(init=False, repr=False, compare=False)
-    _gaps: dict = field(init=False, repr=False, compare=False)
+    _arcs: tuple = field(init=False, repr=False, compare=False)
+    _pasts: dict = field(init=False, repr=False, compare=False)
     _runs: dict = field(init=False, repr=False, compare=False)
     _steps: tuple = field(init=False, repr=False, compare=False)
     _dets: tuple = field(init=False, repr=False, compare=False)
@@ -308,7 +318,8 @@ class BranchTable:
         end = lambda e, unbounded: unbounded if e is None else at_cut.get(e) or self._locate(e)[0]
         images = tuple((end(r.image.lo, -1), end(r.image.hi, len(at))) for r in self.branches)
         object.__setattr__(self, "_images", images)
-        object.__setattr__(self, "_gaps", {self.branches[k].label: i for i, k in enumerate(at) if k is not None})
+        object.__setattr__(self, "_arcs", tuple(_arc(rec, *rec.h_inv.key()) for rec in self.branches))
+        object.__setattr__(self, "_pasts", {})
         object.__setattr__(self, "_by_label", {rec.label: rec for rec in self.branches})
         runs = {rec.label: run for rec in self.branches if (run := _parabolic_run(rec))}
         object.__setattr__(self, "_runs", runs)
@@ -379,10 +390,6 @@ class BranchTable:
             )
         raise OutsideDomainError(f"approx value {x.value!r} is outside the table domain")
 
-    def _covering(self, first: int, last: int) -> list[BranchRecord]:
-        """The branches whose open image contains the positions first..last."""
-        return [rec for rec, (lo, hi) in zip(self.branches, self._images) if lo < first and last < hi]
-
     def inverse_branches(self, x: BoundaryValue) -> list[BranchRecord]:
         """The branches whose open image contains x: the terms of the transfer operator at x."""
         if isinstance(x, Infinity):
@@ -393,7 +400,39 @@ class BranchTable:
                 "evaluation point sits on an image-interval boundary; "
                 "the characteristic function is undefined there"
             )
-        return self._covering(first, last)
+        return [rec for rec, (lo, hi) in zip(self.branches, self._images) if lo < first and last < hi]
+
+    def _past(self, j: int) -> tuple[tuple, tuple]:
+        """The past partition over branch j, (cuts, at) in the format of (_pairs, _at):
+        at gives, by y's position, the branch k that takes (x, y) on the section over j.
+
+        Only a k whose image holds j's gap can take it, and k takes exactly the y
+        in its arc F_k(section_k) (_arcs), section_k being the open half-line
+        beyond rep_line_k opposite rep_dir_k, with inf as one end.  Chained end
+        to start, the arcs must tile section_j in increasing order, or
+        AssertionError.  Built on first use, as a table that is not Markov need
+        not tile.
+        """
+        if j in self._pasts:
+            return self._pasts[j]
+        gap, arcs, rec = self._at.index(j), self._arcs, self.branches[j]
+        covering = [k for k, (lo, hi) in enumerate(self._images) if lo < gap < hi]
+        chain = {arcs[k][0]: k for k in covering}
+        start, stop = _arc(rec, 1, 0, 0, 1)
+        point, ks = start, []
+        while point != stop and point in chain:
+            ks.append(chain.pop(point))
+            point = arcs[ks[-1]][1]
+        cuts = tuple(c for c in [start] + [arcs[k][1] for k in ks] if c[1])
+        # a chain that wraps through inf shows as a cut below its predecessor: an inf
+        # inside it would start a second arc at start (left over) or end it at stop
+        if (point != stop or len(ks) < len(covering)
+                or any(n * m2 >= n2 * m for (n, m), (n2, m2) in zip(cuts, cuts[1:]))):
+            raise AssertionError(f"the past arcs over branch {j} do not tile its section")
+        at = [None] * (2 * len(cuts) + 1)
+        at[1 - rec.rep_dir : len(at) - rec.rep_dir : 2] = ks  # from the gap above rep_line_j for -1
+        self._pasts[j] = cuts, tuple(at)
+        return self._pasts[j]
 
     def follows(self, k: int) -> tuple[int, ...]:
         """The Markov transitions: indices of the branches whose interval lies in branch k's image."""
@@ -687,12 +726,8 @@ def on_section(rec: BranchRecord, y: BoundaryValue) -> bool:
         if side == EQUAL:
             raise PrecisionExhausted(f"backward endpoint {emit_value(y)} holds the line {rec.rep_line}")
         return side == -rec.rep_dir
-    return _beyond_line(rec, *_cut_point(y))
-
-
-def _beyond_line(rec: BranchRecord, P: int, Q: int, D: int) -> bool:
-    """on_section at y = (P + sqrt(D))/Q: below rep_line = n/m (position 0) for
-    rep_dir +1, above it (position 2) for -1; Q = 0 is inf or a pole's image."""
+    # below rep_line = n/m (position 0) for rep_dir +1, above it (position 2) for -1; Q = 0 is inf
+    P, Q, D = _cut_point(y)
     n, m = rec.rep_line.numerator, rec.rep_line.denominator
     return Q != 0 and _position(((n, m),), 0, 1, P, Q, D) == 1 - rec.rep_dir
 
@@ -706,67 +741,48 @@ def code_two_sided(
 ) -> CodingSequence:
     """Two-sided runs of the pair (x, y) on the reduced section.
 
-    Future runs follow the first coordinate; past letters are found by
-    the unique k with (h_k x, h_k y) on the reduced section over k, among
-    the branches whose image contains x.  Finding two such k, or none for
-    an irrational pair, is an internal error.  A rational end stops the
-    past side at the cusp; an Approx pair that an h_k maps across its pole
-    or onto a representative line stops it as precision-exhausted.  The
-    past letters are joined, in time order, to the future runs.
-
-    Only the first past step looks x up: it reuses the position that the
-    section check found.  h_k maps the open image of branch k onto branch
-    k's open interval, so after a past step by k, x lies in k's own gap,
-    and x itself is never mapped (a rational stays rational).  An exact y,
-    whatever x is, steps as its form (P, Q, N) as in code_future: each h_k
-    maps it by exact._form_image, _beyond_line tests it, and the image of
-    the one k found is the next y; a value is built only for a cusp ending.
+    Future runs follow x and past letters y: over branch j, the past
+    letter is the k at y's position in BranchTable._past(j), and the next
+    y is h_k y, over k.  y steps as its form, an Approx as the forms of its
+    two ends (see code_future); x is looked up once, by the section check.
+    y on a cut ends the past side: an exact y, then rational, at the cusp,
+    an Approx as precision-exhausted.  h_k's pole F_k(inf) is a cut, so an
+    Approx in a gap maps end to end.  The past letters are joined, in time
+    order, to the future runs.
     """
     if compare(x, y) == EQUAL:
         raise ValueError("geodesic endpoints must be distinct")
-    span = table._locate(x)
-    if not on_section(table._branch_in(x, span[0]), y):
+    pos = table._locate(x)[0]
+    if not on_section(table._branch_in(x, pos), y):
         raise ValueError("(x, y) is not on the reduced cross section")
 
     future = code_future(table, x, n_future)
     past: list = []  # runs of the past letters, nearest first
-    past_term = None
-    exact = not isinstance(y, Approx)
-    rational = isinstance(x, Rational)
-    if exact:
-        a, b, c, d = _parts(y)
-        P, Q, N, s = _form(a, b, c, d)
-        D, cy = s * s * d, (P, Q, N)
-    else:
-        cy = y
+    past_term = Termination("step-cap", n_past)
+    approx = isinstance(y, Approx)
+    a, b, c, d = _parts(y.lo if approx else y)
+    P, Q, N, s = _form(a, b, c, d)
+    far = _form(*_parts(y.hi))[:3] if approx else None  # the form of the upper end
+    D = s * s * d
+    k = table._at[pos]
     for step in range(n_past):
-        covering = table._covering(*span)
-        if exact:
-            images = [_form_image(rec.h.key(), *cy) for rec in covering]
-            hits = [(rec, e) for rec, e in zip(covering, images) if _beyond_line(rec, e[0], e[1], D)]
-            cusp = not hits and (rational or not D)
-        else:
-            try:
-                images = [rec.h.apply_boundary(cy) for rec in covering]
-                hits = [(rec, e) for rec, e in zip(covering, images) if on_section(rec, e)]
-            except PrecisionExhausted:
-                past_term = Termination("precision-exhausted", step)
-                break
-            cusp = not hits and (rational or isinstance(cy, Rational))
-        if cusp:
-            past_term = Termination("cusp", step, at=_surd(cy[0], s, cy[1], d) if exact else cy)
+        pairs, at = table._past(k)
+        i = _position(pairs, 0, len(pairs), P, Q, D)
+        if approx:
+            i = _span(i, _position(pairs, 0, len(pairs), far[0], far[1], 0))[0]
+        k = at[i]
+        if k is None:
+            kind = "precision-exhausted" if approx else "cusp"
+            past_term = Termination(kind, step, at=None if approx else _surd(P, s, Q, d))
             break
-        if len(hits) != 1:
-            raise AssertionError(f"past branch not unique at step {step}: {[rec.label for rec, _ in hits]}")
-        rec, cy = hits[0]
-        label = rec.label
-        if past and past[-1][0] == label:
-            past[-1] = (label, past[-1][1] + 1)
+        rec = table.branches[k]
+        P, Q, N = _form_image(rec.h.key(), P, Q, N)
+        if approx:
+            far = _form_image(rec.h.key(), *far)
+        if past and past[-1][0] == rec.label:
+            past[-1] = (rec.label, past[-1][1] + 1)
         else:
-            past.append((label, 1))
-        span = (table._gaps[label],) * 2
-    if past_term is None:
-        past_term = Termination("step-cap", n_past)
+            past.append((rec.label, 1))
 
     runs = future.runs
     if past and runs and past[0][0] == runs[0][0]:

@@ -34,11 +34,12 @@ fail.  An interval is ordered against a value only when it lies
 strictly on one side, by the same rules on its two ends.  The family is
 closed under integer Moebius maps of determinant one (within one
 quadratic field): GroupElement.apply_boundary maps a value by one integer
-formula over its parts.  Every exact loop, the coding loop and past step
-of dynamics and the oracle's renormalization in flow_oracle, carries its
-point instead as a binary quadratic form of one discriminant D, made once
-from the parts by _form and mapped by _form_image, which takes integer
-products alone; parts are read only to order or to build values.
+formula over its parts.  The loops of dynamics, coding and the past
+step, and the oracle's renormalization in flow_oracle carry their point
+instead as a binary quadratic form of one discriminant D (in dynamics an
+Approx as the forms of its two rational ends), made once from the parts
+by _form and mapped by _form_image, which takes integer products alone;
+parts are read only to order or to build values.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ __all__ = [
     "CollocationOperator",
     "apply_transfer",
     "transfer_two_step_pointwise",
-    "functional_equation_residual",
     "collocation_matrix",
 ]
 
@@ -188,18 +187,6 @@ def transfer_two_step_pointwise(table: BranchTable, beta, phi, x) -> float | com
             wj, q2 = _float_step(rec_j.h, qf, beta)
             total = total + wk * wj * phi(q2)
     return total
-
-
-def functional_equation_residual(beta, phi, xs) -> list:
-    """Residuals phi(x) - phi(x+1) - (x+1)^(-2 beta) phi(x/(x+1)) on R+."""
-    out = []
-    for x in xs:
-        xf = float(x)
-        if xf <= 0:
-            raise ValueError("the functional equation is evaluated on positive reals")
-        w = _power(1.0 / (xf + 1.0) ** 2, beta)
-        out.append(phi(xf) - phi(xf + 1.0) - w * phi(xf / (xf + 1.0)))
-    return out
 
 
 # --- collocation ---------------------------------------------------------------

@@ -37,6 +37,7 @@ from cuspdyn.moebius import GroupElement
 from cuspdyn.sampling import SQUAREFREE, sample_surd_in
 
 from cf_reference import ceil_moebius, continued_fraction_rational, continued_fraction_surd
+from past_reference import covering, past_by_scan
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -321,8 +322,10 @@ def test_past_branch_uniqueness_sampled():
                 with pytest.raises(ValueError):
                     code_two_sided(t, x, y, 3, 5)
                 continue
-            # raises AssertionError if a backward step ever has two branches
-            code_two_sided(t, x, y, 3, 5)
+            # the scan raises AssertionError if a backward step ever has two branches
+            seq = code_two_sided(t, x, y, 3, 5)
+            letters, term = past_by_scan(t, x, y, 5)
+            assert seq.past_termination == term and seq.letters[: seq.origin] == tuple(reversed(letters))
     assert off == 4
 
 
@@ -573,7 +576,6 @@ def test_inverse_branches_match_image_scan(t):
         if x is INF:
             continue
         want = [rec for rec in t.branches if rec.image.contains(x)]
-        assert t._covering(*t._locate(x)) == want, x  # the past side of code_two_sided
         if any(compare(x, e) == 0 for e in ends):
             with pytest.raises(ValueError, match="image-interval boundary"):
                 t.inverse_branches(x)
@@ -1069,3 +1071,132 @@ def test_approx_run_jump_takes_the_shorter_end():
     n = min(-(-(xe.denominator - xe.numerator) // xe.numerator) for xe in (x.lo, x.hi))
     assert seq.letters == (0,) * n
     assert (seq.termination.kind, seq.termination.step) == ("precision-exhausted", n)
+
+
+# --- the past side: per-branch partitions against the covering scan ----------
+
+PAST_TABLES = TABLES + [branch_table(p) for p in (7, 31)]
+
+
+@pytest.mark.parametrize("p", (1, 2, 3, 5, 7, 13, 31, 211))
+def test_past_partitions_tile_every_section(p):
+    # each branch's past partition has increasing cuts, None on them, and one gap per
+    # branch whose image holds the branch's gap
+    t = modular_table() if p == 1 else branch_table(p)
+    for j in range(len(t.branches)):
+        cuts, at = t._past(j)
+        assert all(n * m2 < n2 * m and m > 0 < m2 for (n, m), (n2, m2) in zip(cuts, cuts[1:])), j
+        assert len(at) == 2 * len(cuts) + 1 and not any(at[1::2]), j
+        gap = t._at.index(j)
+        want = [k for k, (lo, hi) in enumerate(t._images) if lo < gap < hi]
+        assert sorted(k for k in at if k is not None) == want, j
+        assert t._past(j) is t._past(j)
+
+
+@pytest.mark.parametrize("p, label, line", [
+    (1, 0, Fraction(1, 2)), (1, 0, Fraction(-1)), (5, 2, Fraction(3, 10)), (13, 13, Fraction(1)),
+    (13, -1, Fraction(-1, 26)),
+])
+def test_a_past_partition_that_does_not_tile_raises(p, label, line):
+    # a representative line moved off its place: the arcs into that branch's
+    # section no longer tile it, so the past side raises rather than take a
+    # letter.  At -1, the modular branch 0 ends its chain at a cut of the old
+    # partition, and its own arc is left over
+    t = modular_table() if p == 1 else branch_table(p)
+    k = t.labels.index(label)
+    moved = t.branches[k]
+    branches = t.branches[:k] + (dataclasses.replace(moved, rep_line=line),) + t.branches[k + 1 :]
+    bad = BranchTable(p=t.p, branches=branches)
+    with pytest.raises(AssertionError, match="do not tile"):
+        bad._past(k)
+    lo, hi = (None if e is None else e.fr for e in (moved.interval.lo, moved.interval.hi))
+    x = sample_surd_in(random.Random(5), lo, hi, 2)
+    y = Rational(line - 1000 * moved.rep_dir)
+    with pytest.raises(AssertionError, match="do not tile"):
+        code_two_sided(bad, x, y, 1, 1)
+
+
+def test_a_past_chain_that_wraps_through_inf_raises():
+    # the modular branch 0's section (-inf, 0) is tiled by the arcs (-inf, -1) of
+    # branch 1 and (-1, 0) of branch 0; arcs inf -> 1 -> 0 chain from start to
+    # stop and use both, but the second passes through inf
+    t = modular_table()
+    assert t._past(0) == (((-1, 1), (0, 1)), (1, None, 0, None, None))
+    wrapped = modular_table()
+    object.__setattr__(wrapped, "_arcs", (((1, 1), (0, 1)), ((1, 0), (1, 1))))
+    with pytest.raises(AssertionError, match="do not tile"):
+        wrapped._past(0)
+
+
+def _past_pair(t, rng, x_kind, y_kind, err):
+    """(x, y) over a random branch, x in its interval and y beyond its line, or None
+    where the section check refuses the pair (an Approx within err of a cut or line)."""
+    rec = rng.choice(t.branches)
+    lo, hi = (None if e is None else e.fr for e in (rec.interval.lo, rec.interval.hi))
+    x = sample_surd_in(rng, lo, hi, rng.choice(SQUAREFREE))
+    if x_kind == "approx":
+        x = Approx(x.to_float(), err)
+    elif x_kind == "rational" and t.p == 1:
+        x = Rational(Fraction(x.to_float()).limit_denominator(1000))
+    line, u = rec.rep_line, Fraction(rng.randint(1, 3000), rng.randint(1, 300))
+    if y_kind == "surd":
+        ends = (None, line) if rec.rep_dir == 1 else (line, None)
+        y = sample_surd_in(rng, *ends, rng.choice(SQUAREFREE))
+    else:
+        y = Rational(line - rec.rep_dir * u)
+        y = Approx(y.to_float(), err) if y_kind == "approx" else y
+    try:
+        return (x, y) if on_section(t.branch_of(x), y) else None
+    except (ValueError, ArithmeticError):
+        return None
+
+
+@given(st.sampled_from(PAST_TABLES), st.randoms(use_true_random=False),
+       st.sampled_from(("surd", "approx", "rational")), st.sampled_from(("surd", "rational", "approx")),
+       st.sampled_from((0.0, 1e-12, 1e-9, 1e-6, 1e-3)))
+@settings(max_examples=300, deadline=None)
+def test_past_letters_match_the_covering_scan(t, rng, x_kind, y_kind, err):
+    pair = _past_pair(t, rng, x_kind, y_kind, err)
+    if pair is None:
+        return
+    seq = code_two_sided(t, *pair, 1, 40)
+    letters, term = past_by_scan(t, *pair, 40)
+    assert seq.past_termination == term
+    assert seq.letters[: seq.origin] == tuple(reversed(letters))
+
+
+@given(st.sampled_from(PAST_TABLES), st.randoms(use_true_random=False), st.integers(0, 4),
+       st.sampled_from((0.0, 1e-12, 1e-9, 1e-6)))
+@settings(max_examples=200, deadline=None)
+def test_an_approx_y_on_a_pole_or_line_preimage_ends_where_the_scan_does(t, rng, s, err):
+    # z is h_k's pole F_k(inf) or the preimage F_k(rep_line_k) of a branch k that
+    # holds the section point after s past steps of an exact pair; the Approx
+    # around the value that steps to z in s steps cannot pass it
+    pair = _past_pair(t, rng, "surd", "surd", err)
+    if pair is None:
+        return
+    x, y0 = pair
+    letters, _ = past_by_scan(t, x, y0, s)
+    if len(letters) < s:
+        return
+    over = t.branch(letters[-1]) if s else t.branch_of(x)
+    ends = [rec.h_inv.apply_boundary(e) for rec in covering(t, x, letters[-1] if s else None)
+            for e in (INF, Rational(rec.rep_line))]
+    z = rng.choice([e for e in ends if e is not INF and on_section(over, e)])
+    v = z
+    for label in reversed(letters):
+        v = t.branch(label).h_inv.apply_boundary(v)
+    y = Approx(v.to_float(), err)
+    if compare(y, v) != 0 or _past_pair_refused(t, x, y):
+        return
+    seq = code_two_sided(t, x, y, 1, 10)
+    scan = past_by_scan(t, x, y, 10)
+    assert seq.past_termination == scan[1] and seq.letters[: seq.origin] == tuple(reversed(scan[0]))
+    assert scan[1].kind == "precision-exhausted" and scan[1].step <= s
+
+
+def _past_pair_refused(t, x, y):
+    try:
+        return not on_section(t.branch_of(x), y)
+    except PrecisionExhausted:
+        return True

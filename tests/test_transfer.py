@@ -16,7 +16,6 @@ from cuspdyn.transfer import (
     _power,
     apply_transfer,
     collocation_matrix,
-    functional_equation_residual,
     transfer_two_step_pointwise,
 )
 
@@ -72,13 +71,13 @@ def test_positivity_and_linearity():
 
 
 def test_functional_equation_examples():
+    # phi(x) - (L_beta phi)(x) = phi(x) - phi(x + 1) - (x + 1)^(-2 beta) phi(x/(x + 1)) on R+
+    tm = modular_table()
+    residual = lambda beta, phi, x: phi(x) - apply_transfer(tm, beta, phi, x)
     invx = DensityFunction.reciprocal()
-    res = functional_equation_residual(1, invx, [0.31, 1.7, 9.9, 0.02])
-    assert max(abs(r) for r in res) < 1e-12
-    (r1,) = functional_equation_residual(1, DensityFunction.one(), [1.0])
-    assert math.isclose(r1, -0.25, abs_tol=1e-15)
-    (r2,) = functional_equation_residual(0, DensityFunction(lambda t: t), [2.0])
-    assert math.isclose(r2, -5.0 / 3.0, abs_tol=1e-14)
+    assert max(abs(residual(1, invx, x)) for x in (0.31, 1.7, 9.9, 0.02)) < 1e-12
+    assert math.isclose(residual(1, DensityFunction.one(), 1.0), -0.25, abs_tol=1e-15)
+    assert math.isclose(residual(0, DensityFunction(lambda t: t), 2.0), -5.0 / 3.0, abs_tol=1e-14)
 
 
 def test_functional_equation_exact_identity_at_surds():

@@ -24,7 +24,9 @@ the grammar's bound and on a surd of negative b whose form needs its
 discriminant scaled, and at every level two-sided code and next and
 traced previous return on a rational backward endpoint that one branch
 element maps to inf and on a backward surd of negative b whose form
-needs scaling, under four values of CUSPDYN_APPROX_ERR.  Invocations
+needs scaling, two-sided code to 200 past letters on that surd pair and
+on an approx backward endpoint, and two-sided code at p = 1009, under
+four values of CUSPDYN_APPROX_ERR.  Invocations
 whose stdout, stderr, exit code or SVG differ are printed grouped by
 subcommand, input kind and outcome; an uncaught exception counts as the
 exit code "uncaught <type>".  The script exits 1 when any invocation
@@ -52,6 +54,8 @@ FORMS = ["surd:(1+1*sqrt(999999999989))/1000003", "surd:(5+-1*sqrt(2))/3"]
 # x and y per level q: y = -(q+1)/q steps to -1/q, the pole of branch 0's element,
 # and a backward surd of negative b whose form is scaled by 3
 PAST_PAIRS = [("surd:(1+1*sqrt(5))/2", "rat:-{}/{}"), ("surd:(-1+1*sqrt(2))/1", "surd:(-5+-1*sqrt(2))/3")]
+# 200 past letters on the surd pair, and on an approx y, on the section over phi at every level
+LONG_PAST = [PAST_PAIRS[1], ("surd:(1+1*sqrt(5))/2", "approx:-0.7071067811865476")]
 HEAVY = ["surd:(564+147*sqrt(10))/25", "surd:(865+98*sqrt(2))/32", "surd:(479+-147*sqrt(7))/38"]  # periods of 10,659-47,360 letters
 PHI_FILES = {  # written to the working directory of each run
     "phi-ok.json": '{"nodes": [0, 1, 2, 4], "values": [1, 0.5, 0.25, 0.5]}',
@@ -115,6 +119,8 @@ def corpus(readme):
             y = y.format(q + 1, q)
             yield ["code", *level, "--x", x, "--y", y, "--steps", "20", "--past", "20"]
             yield from (["return", *level, "--x", x, "--y", y, *prev] for prev in ([], ["--previous", "--trace"]))
+        yield from (["code", *level, "--x", x, "--y", y, "--steps", "20", "--past", "200"] for x, y in LONG_PAST)
+    yield ["code", "--p", "1009", "--x", TRACED[0], "--y", YS[0], "--steps", "20", "--past", "20"]
     for level in (["--p", "5"], ["--modular"]):
         for x in FIBS:
             yield from (["code", *level, "--x", x], ["code", *level, "--x", x, "--trace"])
