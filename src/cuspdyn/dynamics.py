@@ -25,11 +25,13 @@ from .exact import (
     PrecisionExhausted,
     Rational,
     _approx,
+    _coprime,
     _form,
     _form_image,
     _parts,
     _point,
     _surd,
+    _value_class,
     compare,
     emit_value,
 )
@@ -217,6 +219,24 @@ def _cut_point(x: BoundaryValue) -> tuple[int, int, int]:
     (1, 0, 0), which the cut rule places above every cut."""
     a, b, c, d = _point(x)
     return (-a, -c, b * b * d) if b < 0 else (a, c, b * b * d)
+
+
+def _side(v: BoundaryValue, n: int, m: int) -> int:
+    """compare(v, n/m) for m > 0: _position's cut rule on the one cut n/m for an
+    exact v, inf above every cut, and compare for an Approx (EQUAL when it
+    holds the line).  flow_oracle._search applies the rule to its forms."""
+    if isinstance(v, Approx):
+        return compare(v, _coprime(n, m))
+    return _position(((n, m),), 0, 1, *_cut_point(v)) - 1
+
+
+def _distinct(x: BoundaryValue, y: BoundaryValue) -> bool:
+    """compare(x, y) != EQUAL: canonical exact values are equal exactly when their
+    parts are, so only an Approx goes through compare."""
+    px, py = _point(x), _point(y)
+    if px is None or py is None:
+        return compare(x, y) != EQUAL
+    return px != py
 
 
 def _run_roots(dets: tuple, D: int) -> dict:
@@ -511,7 +531,7 @@ def apply_F(table: BranchTable, x: BoundaryValue) -> tuple[BoundaryValue, float 
     return rec.apply(x), rec.label
 
 
-@dataclass(frozen=True)
+@_value_class
 class Termination:
     kind: str  # "periodic" | "cusp" | "step-cap" | "precision-exhausted"
     step: int
@@ -716,20 +736,14 @@ def on_section(rec: BranchRecord, y: BoundaryValue) -> bool:
     """Whether (x, y), with x in the branch's interval, lies on the reduced cross section.
 
     The reduced section holds the pairs with a representative line
-    crossing: y lies beyond rep_line on the side opposite rep_dir.  For an
-    exact y that is _position's cut rule against the one cut rep_line; the
-    printed y_interval is the product rectangle that contains it.  An
-    Approx y that holds the line raises PrecisionExhausted.
+    crossing: y lies beyond rep_line on the side opposite rep_dir (_side),
+    and is not inf; the printed y_interval is the product rectangle that
+    contains it.  An Approx y that holds the line raises PrecisionExhausted.
     """
-    if isinstance(y, Approx):
-        side = compare(y, Rational(rec.rep_line))
-        if side == EQUAL:
-            raise PrecisionExhausted(f"backward endpoint {emit_value(y)} holds the line {rec.rep_line}")
-        return side == -rec.rep_dir
-    # below rep_line = n/m (position 0) for rep_dir +1, above it (position 2) for -1; Q = 0 is inf
-    P, Q, D = _cut_point(y)
-    n, m = rec.rep_line.numerator, rec.rep_line.denominator
-    return Q != 0 and _position(((n, m),), 0, 1, P, Q, D) == 1 - rec.rep_dir
+    side = _side(y, rec.rep_line.numerator, rec.rep_line.denominator)
+    if side == EQUAL and isinstance(y, Approx):
+        raise PrecisionExhausted(f"backward endpoint {emit_value(y)} holds the line {rec.rep_line}")
+    return side == -rec.rep_dir and y is not INF
 
 
 def code_two_sided(
@@ -750,7 +764,7 @@ def code_two_sided(
     Approx in a gap maps end to end.  The past letters are joined, in time
     order, to the future runs.
     """
-    if compare(x, y) == EQUAL:
+    if not _distinct(x, y):
         raise ValueError("geodesic endpoints must be distinct")
     pos = table._locate(x)[0]
     if not on_section(table._branch_in(x, pos), y):

@@ -10,13 +10,15 @@ across kinds), and all arithmetic and ordering is done on plain
 integers.  Rational is not fractions.Fraction because Fraction.numerator
 is a Python property: a prototype that swapped it in saved 106 lines but
 slowed coding in 4 of 4 alternating benchmark pairs on a 2-core machine
-(1,028 to 900 ops/s, p50 0.248 to 0.295 ms).  The coding loop makes no
-compare call (it bisects and maps on parts), and a conjugacy op makes
-about 10.  Replaying the 2,000 compares of 200 such ops, one sign rule
-over _point's parts took 550 ns a call against 514 ns for a branch per
-pair of kinds.  On a 2-core machine the median conjugacy pair read
--1.9% and -3.0% in two rounds of ten alternating benchmark pairs, and
--2.3% over six pairs of two copies of one tree.
+(1,028 to 900 ops/s, p50 0.248 to 0.295 ms).  Neither the coding loop
+nor a conjugacy op on exact ends makes a compare call: they place points
+by the cut rule of dynamics._position and tell exact values apart by
+their parts.  When a conjugacy op still made 10, replaying the 2,000
+compares of 200 such ops, one sign rule over _point's parts took 550 ns
+a call against 514 ns for a branch per pair of kinds.  On a 2-core
+machine the median conjugacy pair read -1.9% and -3.0% in two rounds of
+ten alternating benchmark pairs, and -2.3% over six pairs of two copies
+of one tree.
 
 Arithmetic is that of one field Q(sqrt(d)), a rational being its element
 with b = 0: each of +, -, * and / is one integer formula over the parts
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -93,13 +95,33 @@ def _squarefree_split(d: int) -> tuple[int, int]:
 
 
 def _value_class(cls):
-    """cls as a frozen slotted dataclass that keeps its own constructor."""
+    """cls as a frozen slotted dataclass that keeps its own constructor.
+
+    A class with fields and no __init__ of its own gets one that sets each
+    field through its slot descriptor, with the fields' defaults, and ends
+    in __post_init__ when the class has one, as dataclass's does; cls._make
+    takes the same arguments and builds an instance without that check.
+    dynamics.Termination, five fields, took 0.76 us to build through
+    dataclass's __init__, which sets each through object.__setattr__, and
+    takes 0.38 us through slot setters (timeit, best of 7, 2-core machine).
+    """
     new = dataclass(frozen=True, slots=True, init=False)(cls)
     # slots=True rebuilds the class, and on Python 3.11 the generated __setattr__ and
     # __delattr__ test for the old one, so a name that is no field raised TypeError
     for cell in new.__setattr__.__closure__ + new.__delattr__.__closure__:
         if cell.cell_contents is cls:
             cell.cell_contents = new
+    fs = fields(new)
+    if fs and "__init__" not in cls.__dict__:
+        ns = {"new": object.__new__, "cls": new}
+        ns.update({f"set_{f.name}": getattr(new, f.name).__set__ for f in fs})
+        ns.update({f"default_{f.name}": f.default for f in fs})
+        args = ", ".join(f.name if f.default is MISSING else f"{f.name}=default_{f.name}" for f in fs)
+        sets = "".join(f"\n    set_{f.name}(self, {f.name})" for f in fs)
+        check = "\n    self.__post_init__()" if hasattr(new, "__post_init__") else ""
+        exec(f"def __init__(self, {args}):{sets}{check}\n"
+             f"def _make({args}):\n    self = new(cls){sets}\n    return self", ns)
+        new.__init__, new._make = ns["__init__"], staticmethod(ns["_make"])
     return new
 
 

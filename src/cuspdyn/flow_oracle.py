@@ -18,12 +18,21 @@ supply the group and name the letter of the element found.
 
 The walk runs on integer parts: the endpoint t is (a, b, c, d) for
 (a + b*sqrt(d))/c, grid points and side ends are pairs (n, m) for n/m
-with (1, 0) for inf.  The backward endpoint is one quadratic form
-(exact._form), mapped by exact._form_image and placed against the
-labelled line by dynamics._position, as in the coding loops.  Where the
-geodesic meets a semicircle side is one quotient in Q(sqrt(d)) and each
-crossing height one product over the parts (_crossing).  Each value the
-record holds is made canonical once.
+with (1, 0) for inf.  Each endpoint is one quadratic form (exact._form),
+mapped by exact._form_image and placed against the labelled line by
+dynamics._position, as in the coding loops: the backward one decides the
+direction, and the forward one must then lie ahead of the line, so the
+two are distinct and the renormalized point is built on that check
+alone (SectionPoint._make).  Where the geodesic meets a semicircle side
+is one quotient in Q(sqrt(d)) and each crossing height one product over
+the parts (_crossing).  Each value the record holds is made canonical
+once.
+
+A section point built by its constructor is checked by the same cut
+rule: SectionPoint places each end against its line by dynamics._side,
+and Geodesic tells exact ends apart by their canonical parts, so only an
+Approx end goes through compare.  The records are slotted value classes
+(exact._value_class).
 
 Crossing positions and heights multiply the two endpoints, so the oracle
 requires both endpoints in a single real quadratic field (rationals
@@ -35,27 +44,24 @@ classification tests use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    EQUAL,
     INF,
     BoundaryValue,
     Infinity,
     Rational,
     Surd,
-    _coprime,
     _floor_root,
     _form,
     _form_image,
     _parts,
     _rational,
     _surd,
-    compare,
+    _value_class,
     emit_value,
 )
-from .dynamics import BranchTable, _inf_witness, _position, label_to_json, on_section
+from .dynamics import BranchTable, _distinct, _inf_witness, _position, _side, label_to_json, on_section
 from .moebius import GroupElement
 from .tessellation import matrix_literal
 
@@ -79,7 +85,7 @@ def _field_of(x: BoundaryValue) -> int | None:
     raise ValueError(f"oracle geodesics need exact finite endpoints, got {emit_value(x)}")
 
 
-@dataclass(frozen=True)
+@_value_class
 class Geodesic:
     """Oriented geodesic with backward endpoint y and forward endpoint x."""
 
@@ -87,7 +93,7 @@ class Geodesic:
     backward: BoundaryValue
 
     def __post_init__(self):
-        if compare(self.forward, self.backward) == EQUAL:
+        if not _distinct(self.forward, self.backward):
             raise ValueError("geodesic endpoints must be distinct")
 
     def field(self) -> int | None:
@@ -104,7 +110,7 @@ class Geodesic:
         return {"forward": emit_value(self.forward), "backward": emit_value(self.backward)}
 
 
-@dataclass(frozen=True)
+@_value_class
 class CrossingPoint:
     re: BoundaryValue
     height2: BoundaryValue
@@ -130,7 +136,10 @@ def _crossing(geod: Geodesic, c: BoundaryValue) -> CrossingPoint:
     return CrossingPoint(c, _surd(P * R + Q * S * d, P * S + Q * R, e * e * xc * yc, d))
 
 
-@dataclass(frozen=True)
+_NOT_TRANSVERSAL = "geodesic does not cross the line transversally in that direction"
+
+
+@_value_class
 class SectionPoint:
     """A transversal crossing of the geodesic with a representative line."""
 
@@ -140,12 +149,12 @@ class SectionPoint:
 
     def __post_init__(self):
         x, y = self.geodesic.forward, self.geodesic.backward
-        line = _coprime(self.line.numerator, self.line.denominator)
+        n, m = self.line.numerator, self.line.denominator
         if self.direction not in (+1, -1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction!r}")
         # the geodesic runs from y to x, so y lies behind the line and x ahead of it
-        if not compare(y, line) == -self.direction == -compare(x, line):
-            raise ValueError("geodesic does not cross the line transversally in that direction")
+        if not _side(y, n, m) == -self.direction == -_side(x, n, m):
+            raise ValueError(_NOT_TRANSVERSAL)
 
     def crossing(self) -> CrossingPoint:
         return _crossing(self.geodesic, Rational(self.line))
@@ -162,7 +171,7 @@ class SectionPoint:
 # --- return records ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_value_class
 class ReturnRecord:
     letter: object
     translate: GroupElement
@@ -192,7 +201,10 @@ def canonical_section_point(table: BranchTable, x: BoundaryValue, y: BoundaryVal
     rec = table.branch_of(x)
     if not on_section(rec, y):
         raise ValueError("(x, y) is not on the reduced cross section")
-    return SectionPoint(Geodesic(forward=x, backward=y), rec.rep_line, rec.rep_dir)
+    # y lies behind the line; with x ahead of it the ends are distinct
+    if _side(x, rec.rep_line.numerator, rec.rep_line.denominator) != rec.rep_dir:
+        raise ValueError(_NOT_TRANSVERSAL)
+    return SectionPoint._make(Geodesic._make(x, y), rec.rep_line, rec.rep_dir)
 
 
 # --- the cell walk -------------------------------------------------------------
@@ -279,18 +291,25 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
     P, Q, N, s = _form(ya, yb, yc, d)
     for g, j in _labels(table, side):
         A, B, C, D = g
-        P1, Q1, _ = _form_image((D, -B, -C, A), P, Q, N)
+        inv = (D, -B, -C, A)
+        Py, Qy, _ = _form_image(inv, P, Q, N)
         # g^-1 y lies below the line j/q (position 0), so it is crossed rightward,
         # or above it (position 2); it is never on the line
-        direction = 1 - _position(((j, q),), 0, 1, P1, Q1, s * s * d)
+        direction = 1 - _position(((j, q),), 0, 1, Py, Qy, s * s * d)
         if _representative(table, j, direction):
             break
     else:
         raise AssertionError("the crossed side has no representative label")
+    yt = _surd(Py, s, Qy, d)
+    # g^-1 x must lie ahead of the line (position 1 + direction) by the same rule;
+    # the ends then lie apart, and the renormalized point is built on that check
+    P, Q, N, s = _form(xa, xb, xc, d)
+    Px, Qx, _ = _form_image(inv, P, Q, N)
+    if _position(((j, q),), 0, 1, Px, Qx, s * s * d) != 1 + direction:
+        raise ValueError(_NOT_TRANSVERSAL)
+    xt = _surd(Px, s, Qx, d)
     g = GroupElement(*g)
-    ginv = g.inv()
     base = Fraction(j, q)
-    xt, yt = ginv.apply_boundary(x), _surd(P1, s, Q1, d)
     # the side's grid point when it is a vertical line, else where the two circles
     # meet: (uv - xy)/((u + v) - (x + y)) for the side ends u and v, which over the
     # common denominator um*vm*xc*yc is (N0 + N1*sqrt(d))/(D0 + D1*sqrt(d))
@@ -313,7 +332,7 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
         ok = rec is not None and (rec.h, rec.target) == (g, (_rational(j, q), direction))
     else:
         rec = table.branch_at(xt)
-        ok = rec is not None and (rec.h, rec.rep_line, rec.rep_dir) == (ginv, base, direction)
+        ok = rec is not None and (rec.h, rec.rep_line, rec.rep_dir) == (g.inv(), base, direction)
 
     return ReturnRecord(
         letter=rec.label if ok else None,
@@ -321,7 +340,7 @@ def _search(sp: SectionPoint, table: BranchTable, forward: bool) -> ReturnRecord
         line=base,
         direction=direction,
         crossing=_crossing(geod, pos),
-        renormalized=SectionPoint(Geodesic(forward=xt, backward=yt), base, direction),
+        renormalized=SectionPoint._make(Geodesic._make(xt, yt), base, direction),
         interior_first=bool(interiors),
         interior_crossings=tuple(_crossing(geod, _rational(*e)) for e in interiors),
     )

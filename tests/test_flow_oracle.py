@@ -1,14 +1,21 @@
+import dataclasses
 import functools
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cuspdyn.dynamics import NEG_INF_LABEL, apply_F, branch_table, modular_table
-from cuspdyn.exact import INF, Rational, Surd, compare, normalize_surd
+from cuspdyn import dynamics, exact, flow_oracle, moebius, tessellation
+from cuspdyn.dynamics import NEG_INF_LABEL, Termination, apply_F, branch_table, code_two_sided, modular_table, on_section
+from cuspdyn.exact import INF, Approx, PrecisionExhausted, Rational, Surd, compare, normalize_surd
 from cuspdyn.flow_oracle import (
+    CrossingPoint,
     Geodesic,
+    ReturnRecord,
     SectionPoint,
     canonical_section_point,
     classify,
@@ -23,6 +30,7 @@ from cuspdyn.sampling import (
     sample_surd_in,
     sample_unit_surd,
 )
+from section_reference import geodesic_check, on_section_by_compare, section_point_check
 
 PHI = Surd(1, 1, 2, 5)
 ONE_MINUS_PHI = Surd(1, -1, 2, 5)
@@ -470,3 +478,136 @@ def test_return_crossings_match_formula():
         assert previous_exterior_geometric(sp, table) is None
     assert seen_interior > 0 and seen_integer_end > 0
     assert semicircle_kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# --- section points by the cut rule -----------------------------------------
+
+# 0 and (p - 1)/p for p = 2, 5, 13 among the lines, and an end on the line itself
+_LINES = st.one_of(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(4, 5), Fraction(12, 13)]),
+                   st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)))
+
+
+@st.composite
+def _end(draw, line):
+    """A boundary value of any kind: rational, surd with b of either sign, inf, or an
+    Approx, also one that holds the line; or the line itself."""
+    near = float(line) + draw(st.floats(-0.25, 0.25))
+    return draw(st.one_of(
+        st.builds(Rational, st.integers(-40, 40), st.integers(1, 40)),
+        st.just(Rational(line)),
+        st.builds(normalize_surd, st.integers(-30, 30), st.integers(-9, 9).filter(bool),
+                  st.integers(1, 30), st.sampled_from((2, 3, 5, 13, 999999999989))),
+        st.just(INF),
+        st.builds(Approx, st.floats(-5, 5), st.sampled_from((0.0, 1e-12, 1e-3))),
+        st.builds(lambda err: Approx(near, err), st.floats(0.25, 0.5)),  # holds the line
+    ))
+
+
+def _raised(build):
+    """(type, message) of the ValueError or PrecisionExhausted build raises, else None."""
+    try:
+        build()
+    except (ValueError, PrecisionExhausted) as err:
+        return type(err), str(err)
+    return None
+
+
+@given(data=st.data(), line=_LINES, direction=st.sampled_from((1, -1, 1, -1, 0)), same=st.booleans())
+@settings(max_examples=600, deadline=None)
+def test_section_point_checks_match_the_compare_reference(data, line, direction, same):
+    x = data.draw(_end(line))
+    y = x if same else data.draw(_end(line))
+    geodesic = _raised(lambda: Geodesic(x, y))
+    assert geodesic == _raised(lambda: geodesic_check(x, y))
+    assert _raised(lambda: SectionPoint(Geodesic(x, y), line, direction)) == _raised(
+        lambda: section_point_check(x, y, line, direction))
+    if geodesic is not None:  # code_two_sided decides distinct ends by the same rule
+        assert _raised(lambda: code_two_sided(modular_table(), x, y, 1, 1)) == geodesic
+    if direction:
+        rec = types.SimpleNamespace(rep_line=line, rep_dir=direction)
+        got = _raised(lambda: on_section(rec, y))
+        assert got == _raised(lambda: on_section_by_compare(rec, y))
+        if got is None:
+            assert on_section(rec, y) == on_section_by_compare(rec, y)
+
+
+def _counting_compare(monkeypatch) -> list:
+    """Count every compare call made through any module of the library."""
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return compare(x, y)
+
+    for mod in (exact, moebius, tessellation, dynamics, flow_oracle):
+        monkeypatch.setattr(mod, "compare", counted, raising=False)
+    return calls
+
+
+def test_oracle_op_on_exact_ends_makes_no_compare(monkeypatch):
+    rng = random.Random(11)
+    tables = [modular_table()] + [branch_table(p) for p in (2, 3, 5, 13)]
+    pairs = [(t, *sample_section_pair(t, rng, label)) for t in tables for label in t.labels for _ in range(2)]
+    calls = _counting_compare(monkeypatch)
+    for table, x, y in pairs:  # the conjugacy workload's op, oracle and coding parts
+        sp = canonical_section_point(table, x, y)
+        first_return_geometric(sp, table)
+        previous_exterior_geometric(sp, table)
+        code_two_sided(table, x, y, 1, 1)
+    assert calls == []
+    # an Approx end still goes through compare
+    table, x, y = pairs[0]
+    code_two_sided(table, x, Approx(y.to_float(), 1e-9), 1, 1)
+    assert calls
+
+
+def _section_point():
+    return SectionPoint(Geodesic(PHI, ONE_MINUS_PHI), Fraction(0), +1)
+
+
+# each converted record: a fresh build, its field names in order, and one field changed
+_RECORDS = {
+    Termination: (lambda: Termination("periodic", 7, preperiod=2, period=5),
+                    ("kind", "step", "at", "preperiod", "period"), {"step": 8}),
+    Geodesic: (lambda: Geodesic(PHI, ONE_MINUS_PHI), ("forward", "backward"), {"backward": Rational(-1)}),
+    SectionPoint: (_section_point, ("geodesic", "line", "direction"), {"line": Fraction(1)}),
+    CrossingPoint: (lambda: _section_point().crossing(), ("re", "height2"), {"re": Rational(1)}),
+    ReturnRecord: (lambda: first_return_geometric(_section_point(), branch_table(5)),
+                     ("letter", "translate", "line", "direction", "crossing", "renormalized",
+                      "interior_first", "interior_crossings"), {"letter": None}),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+def test_records_keep_their_dataclass_behaviour(cls):
+    build, names, change = _RECORDS[cls]
+    a, b = build(), build()
+    assert type(a) is cls and a == b and a is not b
+    values = tuple(getattr(a, n) for n in names)
+    assert hash(a) == hash(b) == hash(values)
+    assert [f.name for f in dataclasses.fields(a)] == list(names)
+    assert repr(a) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+    for attr in (names[0], "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, attr, values[0])
+    assert dataclasses.replace(a) == a and cls._make(*values) == a
+    changed = dataclasses.replace(a, **change)
+    assert changed != a and all(getattr(changed, n) == change.get(n, v) for n, v in zip(names, values))
+
+
+def test_replace_runs_the_section_point_checks():
+    sp = _section_point()
+    with pytest.raises(ValueError, match="^geodesic does not cross the line transversally in that direction$"):
+        dataclasses.replace(sp, direction=-1)
+    with pytest.raises(ValueError, match=r"^direction must be \+1 or -1, got 0$"):
+        dataclasses.replace(sp, direction=0)
+    with pytest.raises(ValueError, match="^geodesic endpoints must be distinct$"):
+        dataclasses.replace(sp.geodesic, backward=PHI)
+
+
+def test_search_checks_the_renormalized_forward_end():
+    # a section point built without its check, whose x lies behind the line 0 as y does
+    x, y = normalize_surd(-1, -3, 6, 3), normalize_surd(-16, 2, 5, 3)
+    sp = SectionPoint._make(Geodesic._make(x, y), Fraction(0), +1)
+    with pytest.raises(ValueError, match="^geodesic does not cross the line transversally in that direction$"):
+        previous_exterior_geometric(sp, modular_table())

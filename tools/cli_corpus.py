@@ -25,8 +25,10 @@ discriminant scaled, and at every level two-sided code and next and
 traced previous return on a rational backward endpoint that one branch
 element maps to inf and on a backward surd of negative b whose form
 needs scaling, two-sided code to 200 past letters on that surd pair and
-on an approx backward endpoint, and two-sided code at p = 1009, under
-four values of CUSPDYN_APPROX_ERR.  Invocations
+on an approx backward endpoint, two-sided code at p = 1009,
+conjugacy-check at every level at two seeds with 40 samples, and next and
+traced previous return at p = 211 and 1009 on (phi, -sqrt 5), under four
+values of CUSPDYN_APPROX_ERR.  Invocations
 whose stdout, stderr, exit code or SVG differ are printed grouped by
 subcommand, input kind and outcome; an uncaught exception counts as the
 exit code "uncaught <type>".  The script exits 1 when any invocation
@@ -121,6 +123,11 @@ def corpus(readme):
             yield from (["return", *level, "--x", x, "--y", y, *prev] for prev in ([], ["--previous", "--trace"]))
         yield from (["code", *level, "--x", x, "--y", y, "--steps", "20", "--past", "200"] for x, y in LONG_PAST)
     yield ["code", "--p", "1009", "--x", TRACED[0], "--y", YS[0], "--steps", "20", "--past", "20"]
+    for level in LEVELS:
+        yield from (["conjugacy-check", *level, "--samples", "40", "--seed", seed] for seed in ("1", "2"))
+    for p in ("211", "1009"):
+        yield from (["return", "--p", p, "--x", "surd:(1+1*sqrt(5))/2", "--y", "surd:(0+-1*sqrt(5))/1", *prev]
+                    for prev in ([], ["--previous", "--trace"]))
     for level in (["--p", "5"], ["--modular"]):
         for x in FIBS:
             yield from (["code", *level, "--x", x], ["code", *level, "--x", x, "--trace"])
